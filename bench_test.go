@@ -14,14 +14,17 @@
 //	BenchmarkFig5-8  per-routine CP-ALS, reference vs optimized port
 //	BenchmarkFig9/10 MTTKRP scaling across the three codes
 //	BenchmarkAblation* design-choice ablations (DESIGN.md §6)
+//	BenchmarkALTOBuild ALTO construction (linearize + radix sort + runs)
 package splatt_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	splatt "repro"
+	"repro/internal/alto"
 	"repro/internal/core"
 	"repro/internal/csf"
 	"repro/internal/dense"
@@ -333,6 +336,24 @@ func BenchmarkAblationFormat(b *testing.B) {
 				benchMTTKRP(b, t, 4, opts)
 			})
 		}
+	}
+}
+
+// BenchmarkALTOBuild times the ALTO build layer (linearize, radix sort,
+// run counts) on the NELL-2 twin, serial and across every CPU.
+func BenchmarkALTOBuild(b *testing.B) {
+	t := benchTensor(b, "nell-2")
+	for _, tasks := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("nell-2/tasks=%d", tasks), func(b *testing.B) {
+			team := parallel.NewTeam(tasks)
+			defer team.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := alto.FromCOO(t, team); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

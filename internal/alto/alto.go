@@ -1,8 +1,7 @@
 package alto
 
 import (
-	"sort"
-
+	"repro/internal/parallel"
 	"repro/internal/sptensor"
 )
 
@@ -27,9 +26,10 @@ type Tensor struct {
 }
 
 // FromCOO linearizes and sorts a coordinate tensor. The input is not
-// modified. Fails only when the dimensions are not encodable (see
-// NewEncoding).
-func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
+// modified. team parallelizes the build (nil builds serially); the result
+// does not depend on the team size. Fails only when the dimensions are not
+// encodable (see NewEncoding).
+func FromCOO(t *sptensor.Tensor, team *parallel.Team) (*Tensor, error) {
 	enc, err := NewEncoding(t.Dims)
 	if err != nil {
 		return nil, err
@@ -43,94 +43,84 @@ func FromCOO(t *sptensor.Tensor) (*Tensor, error) {
 	if enc.Wide() {
 		at.Hi = make([]uint64, nnz)
 	}
-	coord := make([]sptensor.Index, t.NModes())
-	for x := 0; x < nnz; x++ {
-		for m := range coord {
-			coord[m] = t.Inds[m][x]
+	order := t.NModes()
+	parallel.ForBlocks(team, nnz, func(_, begin, end int) {
+		coord := make([]sptensor.Index, order)
+		for x := begin; x < end; x++ {
+			for m := range coord {
+				coord[m] = t.Inds[m][x]
+			}
+			lo, hi := enc.Linearize(coord)
+			at.Lo[x] = lo
+			if at.Hi != nil {
+				at.Hi[x] = hi
+			}
 		}
-		lo, hi := enc.Linearize(coord)
-		at.Lo[x] = lo
-		if at.Hi != nil {
-			at.Hi[x] = hi
-		}
-		at.Vals[x] = t.Vals[x]
-	}
-	sort.Sort((*linSorter)(at))
-	at.computeRuns()
+		copy(at.Vals[begin:end], t.Vals[begin:end])
+	})
+	radixSort(at.Lo, at.Hi, at.Vals, enc.TotalBits, team)
+	at.computeRuns(team)
 	return at, nil
 }
 
-// linSorter orders nonzeros by (hi, lo) linearized index.
-type linSorter Tensor
-
-func (s *linSorter) Len() int { return len(s.Lo) }
-
-func (s *linSorter) Less(i, j int) bool {
-	if s.Hi != nil && s.Hi[i] != s.Hi[j] {
-		return s.Hi[i] < s.Hi[j]
-	}
-	return s.Lo[i] < s.Lo[j]
-}
-
-func (s *linSorter) Swap(i, j int) {
-	s.Lo[i], s.Lo[j] = s.Lo[j], s.Lo[i]
-	if s.Hi != nil {
-		s.Hi[i], s.Hi[j] = s.Hi[j], s.Hi[i]
-	}
-	s.Vals[i], s.Vals[j] = s.Vals[j], s.Vals[i]
-}
-
-// delinTile is the batch size build-time and kernel walks delinearize at
-// once: big enough to amortize the per-tile setup, small enough that the
-// per-mode index columns of one tile stay L1/L2-resident.
+// delinTile is the batch size of the tiled walks over the key array (run
+// counting, ForEachNonzero): big enough to amortize the per-tile setup,
+// small enough that one tile's keys and index columns stay L1/L2-resident.
 const delinTile = 1024
 
 // computeRuns counts, per mode, the maximal runs of equal index in the
-// linearized order, walking the nonzeros through the batched byte-table
-// delinearization.
-func (at *Tensor) computeRuns() {
+// linearized order. Mode m's index differs between neighbouring keys
+// exactly when their XOR has a bit under the mode's pext masks, so the
+// count needs no delinearization: each task tallies the transitions
+// between neighbours in its block (the block's last key is compared with
+// the next block's first, which stitches the blocks), and the per-task
+// tallies sum to a count independent of the team size.
+func (at *Tensor) computeRuns(team *parallel.Team) {
 	order := at.Order()
 	at.runs = make([]int64, order)
 	nnz := at.NNZ()
 	if nnz == 0 {
 		return
 	}
-	for m := 0; m < order; m++ {
+	tasks := 1
+	if team != nil {
+		tasks = team.N()
+	}
+	masks := at.Enc.pextMasks
+	counts := make([]int64, tasks*order)
+	parallel.ForBlocks(team, nnz-1, func(tid, begin, end int) {
+		c := counts[tid*order : (tid+1)*order]
+		for tile := begin; tile < end; tile += delinTile {
+			tileEnd := min(tile+delinTile, end)
+			for m := range c {
+				c[m] += transitions(at.Lo, at.Hi, tile, tileEnd, masks[3*m], masks[3*m+1])
+			}
+		}
+	})
+	for m := range at.runs {
 		at.runs[m] = 1
-	}
-	cols := make([][]sptensor.Index, order)
-	for m := range cols {
-		cols[m] = make([]sptensor.Index, delinTile)
-	}
-	prev := make([]sptensor.Index, order)
-	for tile := 0; tile < nnz; tile += delinTile {
-		end := tile + delinTile
-		if end > nnz {
-			end = nnz
-		}
-		at.Enc.DelinearizeRange(at.Lo, at.Hi, tile, end, cols, nil)
-		n := end - tile
-		start := 0
-		if tile == 0 {
-			for m := 0; m < order; m++ {
-				prev[m] = cols[m][0]
-			}
-			start = 1
-		}
-		for m := 0; m < order; m++ {
-			col := cols[m][:n]
-			p := prev[m]
-			runs := int64(0)
-			for i := start; i < n; i++ {
-				if col[i] != p {
-					runs++
-					p = col[i]
-				}
-			}
-			at.runs[m] += runs
-			prev[m] = p
+		for tid := 0; tid < tasks; tid++ {
+			at.runs[m] += counts[tid*order+m]
 		}
 	}
+}
+
+// transitions counts the x in [begin, end) whose key differs from key x+1
+// under (loMask, hiMask). hi may be nil for narrow encodings.
+func transitions(lo, hi []uint64, begin, end int, loMask, hiMask uint64) int64 {
+	var n uint64
+	if hi == nil {
+		for x := begin; x < end; x++ {
+			d := (lo[x] ^ lo[x+1]) & loMask
+			n += (d | -d) >> 63 // 1 iff d != 0
+		}
+		return int64(n)
+	}
+	for x := begin; x < end; x++ {
+		d := (lo[x]^lo[x+1])&loMask | (hi[x]^hi[x+1])&hiMask
+		n += (d | -d) >> 63
+	}
+	return int64(n)
 }
 
 // at delinearizes nonzero x into dst.

@@ -89,7 +89,7 @@ func TestFromCOORoundTrip(t *testing.T) {
 		{1 << 24, 1 << 24, 1 << 24}, // wide path
 	} {
 		tt := sptensor.Random(dims, 300, 11)
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -163,7 +163,7 @@ func TestOperatorMatchesReferenceAcrossOrdersAndStrategies(t *testing.T) {
 		{7, 6, 5, 4, 3},
 	} {
 		tt := sptensor.Random(dims, 500, 21)
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestOperatorDegenerateShapes(t *testing.T) {
 	cases = append(cases, hub)
 
 	for _, tt := range cases {
-		at, err := FromCOO(tt)
+		at, err := FromCOO(tt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 		tt.Inds[2][x] = sptensor.Index(x)
 		tt.Vals[x] = 1
 	}
-	at, err := FromCOO(tt)
+	at, err := FromCOO(tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 
 func TestOperatorRejectsBadOutputShape(t *testing.T) {
 	tt := sptensor.Random([]int{10, 8, 9}, 100, 41)
-	at, err := FromCOO(tt)
+	at, err := FromCOO(tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +298,11 @@ func TestOperatorRejectsBadOutputShape(t *testing.T) {
 func TestMemoryBytesReflectsWideEncoding(t *testing.T) {
 	narrow := sptensor.Random([]int{16, 16, 16}, 100, 51)
 	wide := sptensor.Random([]int{1 << 24, 1 << 24, 1 << 24}, 100, 51)
-	an, err := FromCOO(narrow)
+	an, err := FromCOO(narrow, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aw, err := FromCOO(wide)
+	aw, err := FromCOO(wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

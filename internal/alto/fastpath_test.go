@@ -49,7 +49,7 @@ func randomKeys(t *testing.T, e *Encoding, rng *rand.Rand, n int) (lo, hi []uint
 			at.Hi[x] = h
 		}
 	}
-	sort.Sort((*linSorter)(at))
+	sort.Sort((*refSorter)(at))
 	coords = make([][]sptensor.Index, order)
 	for m := range coords {
 		coords[m] = make([]sptensor.Index, n)
@@ -213,7 +213,7 @@ func TestApplyHighModeMaskFolding(t *testing.T) {
 			tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 		}
 	}
-	at, err := FromCOO(tensor)
+	at, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOperatorStepKernelAgainstGenericWalk(t *testing.T) {
 		}
 		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 	}
-	at, err := FromCOO(tensor)
+	at, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,11 +156,11 @@ func TestOperatorNativeMatchesPortableWalker(t *testing.T) {
 		}
 		tensor.Vals = append(tensor.Vals, rng.NormFloat64())
 	}
-	atNative, err := FromCOO(tensor)
+	atNative, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	atPortable, err := FromCOO(tensor)
+	atPortable, err := FromCOO(tensor, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

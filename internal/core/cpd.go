@@ -64,6 +64,12 @@ func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
 	cfg.Kernel.Arena = arena
 	var backend format.Backend
 	var err error
+	var rec *obs.SpanRecorder
+	var span int64
+	if opts.Spans != nil {
+		rec = opts.Spans.Recorder(0)
+		span = rec.Start()
+	}
 	if opts.Init != nil {
 		// Warm start: the seed factors must tile the tensor exactly, and
 		// only the storage backend is rebuilt for the delta'd tensor — the
@@ -86,6 +92,9 @@ func buildDecomposer(t *sptensor.Tensor, team *parallel.Team, tasks int,
 		backend, err = format.Rebuild(t, spec, cfg)
 	} else {
 		backend, err = format.Build(t, opts.Format, cfg)
+	}
+	if rec != nil {
+		rec.End(obs.PhaseBuild, span)
 	}
 	if err != nil {
 		return nil, err

@@ -34,6 +34,7 @@ func TestSpanPhasesExactALS(t *testing.T) {
 	stats := phaseStats(opts.Spans)
 
 	for phase, want := range map[string]int64{
+		"build":     1,
 		"iteration": iters,
 		"fit":       iters,
 		"mttkrp":    iters * int64(modes),

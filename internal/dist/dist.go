@@ -419,6 +419,10 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 		lc.grams[m] = dense.NewMatrix(r, r)
 	}
 	if lc.local.NNZ() > 0 {
+		var span int64
+		if lc.rec != nil {
+			span = lc.rec.Start()
+		}
 		lc.op, lc.err = format.Build(lc.local, opts.Format, format.Config{
 			Team: lc.team,
 			Rank: r,
@@ -431,6 +435,9 @@ func newLocale(lid int, slab Slab, t *sptensor.Tensor, seed *core.KruskalTensor,
 			Alloc:       opts.Alloc,
 			SortVariant: opts.SortVariant,
 		})
+		if lc.rec != nil {
+			lc.rec.End(obs.PhaseBuild, span)
+		}
 	}
 	lc.solver = solver
 	if solver == sketch.ARLS && lc.err == nil {

@@ -115,6 +115,10 @@ func TestCommOpParity(t *testing.T) {
 			for _, st := range lp.Phases {
 				stats[st.Phase] = st
 			}
+			// Every locale with a non-empty shard built its backend once.
+			if got, want := stats["build"].Calls, int64(min(1, rd.ShardNNZ[l])); got != want {
+				t.Errorf("locales=%d locale %d: %d build spans, want %d", locales, l, got, want)
+			}
 			for _, op := range rd.CommOps {
 				if op.Calls == 0 {
 					continue

@@ -276,7 +276,7 @@ func buildALTO(t *sptensor.Tensor, cfg Config) (*altoBackend, error) {
 	}
 	buildT := timers.Get(perf.RoutineALTO)
 	buildT.Start()
-	at, err := alto.FromCOO(t)
+	at, err := alto.FromCOO(t, cfg.Team)
 	buildT.Stop()
 	if err != nil {
 		return nil, err

@@ -44,9 +44,13 @@ const (
 	// and expanding its factors to the appended revision's mode lengths
 	// before the absorb run starts. Recorded by the serving layer, not the
 	// engine, so it appears in job profiles only for warm-started jobs.
+	PhaseWarmStart
+	// PhaseBuild spans the storage-format build (sort and CSF assembly,
+	// or ALTO linearize and sort) before the first iteration: once per
+	// run, and once per locale in a distributed run.
 	// New non-comm phases must be inserted before PhaseCommBarrier (IsComm
 	// treats the comm phases as a trailing block).
-	PhaseWarmStart
+	PhaseBuild
 	// PhaseCommBarrier spans standalone barrier collectives.
 	PhaseCommBarrier
 	// PhaseCommAllreduce spans allreduce collectives (sum/max/scalar).
@@ -71,6 +75,7 @@ var phaseNames = [NumPhases]string{
 	"sampled_mttkrp",
 	"leverage",
 	"warm_start",
+	"build",
 	"comm_barrier",
 	"comm_allreduce",
 	"comm_allgather",

@@ -181,16 +181,18 @@ func TestJobProfileForCPD(t *testing.T) {
 	if jp.Profile.Locales != nil {
 		t.Errorf("cpd profile has locale breakdown: %+v", jp.Profile.Locales)
 	}
-	found := false
+	calls := map[string]int64{}
 	for _, ps := range jp.Profile.Phases {
 		if strings.HasPrefix(ps.Phase, "comm_") {
 			t.Errorf("cpd profile has comm phase %s", ps.Phase)
 		}
-		if ps.Phase == "mttkrp" && ps.Calls > 0 {
-			found = true
-		}
+		calls[ps.Phase] = ps.Calls
 	}
-	if !found {
+	if calls["mttkrp"] == 0 {
 		t.Error("cpd profile has no mttkrp spans")
+	}
+	// The format build is attributed, not left in the unattributed rest.
+	if calls["build"] != 1 {
+		t.Errorf("cpd profile has %d build spans, want 1", calls["build"])
 	}
 }
