@@ -76,24 +76,29 @@ func TestWorkspaceNormalizeColumnsMatchesPackageLevel(t *testing.T) {
 }
 
 func TestWorkspaceSolveNormalsAllocationFree(t *testing.T) {
-	for _, tasks := range []int{1, 4} {
-		team, ws, v, a := workspaceFixture(t, tasks, 200, 16)
+	// The paper's rank 35 with a row count off the 8-row batch and 3 tasks
+	// covers the batched solve's remainder rows and its per-task scratch.
+	for _, c := range []struct{ tasks, rows, rank int }{
+		{1, 200, 16}, {4, 200, 16}, {1, 203, 35}, {3, 203, 35},
+	} {
+		tasks, r := c.tasks, c.rank
+		team, ws, v, a := workspaceFixture(t, tasks, c.rows, r)
 		// SPD system: Gram of a well-conditioned matrix plus a ridge.
 		Syrk(team, a, v)
-		for i := 0; i < 16; i++ {
+		for i := 0; i < r; i++ {
 			v.Set(i, i, v.At(i, i)+1)
 		}
 		m := a.Clone()
 		ws.SolveNormals(v, m) // warm-up (Cholesky fast path)
 		if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
-			t.Errorf("tasks=%d: SolveNormals (Cholesky) allocates %.1f per call, want 0", tasks, n)
+			t.Errorf("%+v: SolveNormals (Cholesky) allocates %.1f per call, want 0", c, n)
 		}
 		// Rank-deficient V forces the eigen pseudo-inverse fallback, which
 		// must also run out of the cached Jacobi scratch.
 		v.Zero()
 		ws.SolveNormals(v, m) // warm-up fallback
 		if n := testing.AllocsPerRun(10, func() { ws.SolveNormals(v, m) }); n != 0 {
-			t.Errorf("tasks=%d: SolveNormals (pseudo-inverse) allocates %.1f per call, want 0", tasks, n)
+			t.Errorf("%+v: SolveNormals (pseudo-inverse) allocates %.1f per call, want 0", c, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -49,14 +50,12 @@ func burn(iters int) {
 	spinSink.Add(acc)
 }
 
-// parallelRows applies f to every row index in [0, n) on the pool's own
-// goroutines. The call returns when the row work is done; post-op spinners
-// continue burning CPU in the background.
-func (p *BLASPool) parallelRows(n int, f func(i int)) {
+// parallelBlocks splits the rows [0, n) into one contiguous block per pool
+// goroutine and applies f to each. The call returns when the row work is
+// done; post-op spinners continue burning CPU in the background.
+func (p *BLASPool) parallelBlocks(n int, f func(begin, end int)) {
 	if p == nil || p.Threads <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		if p != nil && p.SpinCount > 0 {
 			burn(p.SpinCount)
 		}
@@ -66,10 +65,7 @@ func (p *BLASPool) parallelRows(n int, f func(i int)) {
 	for t := 0; t < p.Threads; t++ {
 		wg.Add(1)
 		go func(tid int) {
-			begin, end := parallel.Partition(n, p.Threads, tid)
-			for i := begin; i < end; i++ {
-				f(i)
-			}
+			f(parallel.Partition(n, p.Threads, tid))
 			wg.Done()
 			// Linger after the result is ready, like an OpenMP worker
 			// spin-waiting for more work it will never get.
@@ -83,27 +79,27 @@ func (p *BLASPool) parallelRows(n int, f func(i int)) {
 
 // SolveNormalsBLAS is SolveNormals executed on the BLAS pool instead of the
 // CP-ALS team — the configuration the paper benchmarks when it varies
-// OMP_NUM_THREADS. The factorization is serial (R×R is tiny); the per-row
-// triangular solves run on pool goroutines.
+// OMP_NUM_THREADS. The factorization is serial (R×R is tiny); the row
+// blocks of the triangular solves run on pool goroutines through the same
+// cholSolveRows kernel the team path uses.
 func SolveNormalsBLAS(pool *BLASPool, v *Matrix, m *Matrix) {
+	if v.Rows != v.Cols || m.Cols != v.Rows {
+		panic(fmt.Sprintf("dense: SolveNormalsBLAS V %dx%d vs M %dx%d",
+			v.Rows, v.Cols, m.Rows, m.Cols))
+	}
 	l := v.Clone()
 	if err := Cholesky(l); err == nil {
-		pool.parallelRows(m.Rows, func(i int) {
-			CholeskySolve(l, m.Row(i))
+		lt := l.Transpose()
+		pool.parallelBlocks(m.Rows, func(begin, end int) {
+			cholSolveRows(l, lt, m, begin, end, make([]float64, cholBatch*l.Rows))
 		})
 		return
 	}
 	pinv := PseudoInverse(v, 0)
-	tmp := m.Clone()
-	pool.parallelRows(m.Rows, func(i int) {
-		trow := tmp.Row(i)
-		mrow := m.Row(i)
-		for j := range mrow {
-			s := 0.0
-			for k := 0; k < pinv.Rows; k++ {
-				s += trow[k] * pinv.Data[k*pinv.Cols+j]
-			}
-			mrow[j] = s
+	pool.parallelBlocks(m.Rows, func(begin, end int) {
+		tmp := make([]float64, pinv.Rows)
+		for i := begin; i < end; i++ {
+			pinvApplyRow(pinv, m.Row(i), tmp)
 		}
 	})
 }

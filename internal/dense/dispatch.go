@@ -1,13 +1,14 @@
 package dense
 
-// Kernel dispatch table. Every Vec* entry point (and the Syrk row block)
-// calls through one of these function pointers; they default to the
-// pure-Go bodies and are repointed at the assembly fast paths by the
-// build-tagged init in simd_amd64.go / simd_arm64.go when internal/cpu
-// reports the features (AVX2+FMA on amd64, NEON on arm64). The `purego`
-// build tag compiles those inits out, and SPLATT_DISABLE_SIMD makes the
-// detection report nothing, so both leave this table on the generic
-// bodies — zero call-site changes either way.
+// Kernel dispatch table. Every Vec* entry point (and the Syrk row block
+// and the row-batched Cholesky solve) calls through one of these function
+// pointers; they default to the pure-Go bodies and are repointed at the
+// assembly fast paths by the build-tagged init in simd_amd64.go /
+// simd_arm64.go when internal/cpu reports the features (AVX2+FMA on
+// amd64, NEON on arm64). The `purego` build tag compiles those inits out,
+// and SPLATT_DISABLE_SIMD makes the detection report nothing, so both
+// leave this table on the generic bodies — zero call-site changes either
+// way.
 var (
 	vecAxpy     = vecAxpyGeneric
 	vecAdd      = vecAddGeneric
@@ -22,6 +23,8 @@ var (
 	vecScaleMulSet = vecScaleMulSetCompose
 	vecMulAxpy     = vecMulAxpyGeneric
 	vecMulScaleSet = vecMulScaleSetGeneric
+
+	cholSolveRows = cholSolveRowsGeneric
 
 	kernelISA = "generic"
 )

@@ -53,7 +53,13 @@ func Cholesky(a *Matrix) error {
 }
 
 // CholeskySolve solves (L·Lᵀ)·x = b in place given the lower factor L from
-// Cholesky; b is overwritten with x. This is the `potrs` substrate call.
+// Cholesky; b is overwritten with x. This is the single-row `potrs`
+// substrate call and the reference cholSolveRows is bitwise identical to.
+//
+// Each product is written float64(a*b): the explicit conversion forces it
+// to round before the subtraction, so the compiler cannot fuse the pair
+// into an FMA (it would on arm64 and under GOAMD64=v3), and the result is
+// the same on every GOARCH/GOAMD64 and matches the batched bodies.
 func CholeskySolve(l *Matrix, b []float64) {
 	n := l.Rows
 	if len(b) != n {
@@ -64,7 +70,7 @@ func CholeskySolve(l *Matrix, b []float64) {
 		s := b[i]
 		row := l.Data[i*n:]
 		for k := 0; k < i; k++ {
-			s -= row[k] * b[k]
+			s -= float64(row[k] * b[k])
 		}
 		b[i] = s / row[i]
 	}
@@ -72,9 +78,62 @@ func CholeskySolve(l *Matrix, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.Data[k*n+i] * b[k]
+			s -= float64(l.Data[k*n+i] * b[k])
 		}
 		b[i] = s / l.Data[i*n+i]
+	}
+}
+
+// cholBatch is the number of rows the native cholSolveRows body solves at
+// once; the scratch cholSolveRows takes holds cholBatch·rank floats.
+const cholBatch = 8
+
+// cholSolveRowsGeneric is the portable body of cholSolveRows: it solves
+// (L·Lᵀ)·x = b in place for every row b of m in [begin, end), four rows at
+// a time. Each row runs exactly CholeskySolve's operations in the same
+// order (ascending k, one rounded product subtracted per step, then a
+// divide by the diagonal), so the result is bitwise identical; the four
+// independent sums only keep the FP pipeline busy while each one waits on
+// its previous subtraction. lt is Lᵀ, so the backward pass reads rows
+// instead of striding down a column of l. The scratch is the native
+// body's; this one needs none.
+func cholSolveRowsGeneric(l, lt, m *Matrix, begin, end int, _ []float64) {
+	n := l.Rows
+	i := begin
+	for ; i+4 <= end; i += 4 {
+		b0, b1, b2, b3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		// Forward: L·y = b.
+		for j := 0; j < n; j++ {
+			row := l.Data[j*n : j*n+j]
+			x0, x1, x2, x3 := b0[:len(row)], b1[:len(row)], b2[:len(row)], b3[:len(row)]
+			s0, s1, s2, s3 := b0[j], b1[j], b2[j], b3[j]
+			for k, ljk := range row {
+				s0 -= float64(ljk * x0[k])
+				s1 -= float64(ljk * x1[k])
+				s2 -= float64(ljk * x2[k])
+				s3 -= float64(ljk * x3[k])
+			}
+			d := l.Data[j*n+j]
+			b0[j], b1[j], b2[j], b3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+		// Backward: Lᵀ·x = y.
+		for j := n - 1; j >= 0; j-- {
+			row := lt.Data[j*n+j+1 : (j+1)*n]
+			o := j + 1 + len(row)
+			x0, x1, x2, x3 := b0[j+1:o], b1[j+1:o], b2[j+1:o], b3[j+1:o]
+			s0, s1, s2, s3 := b0[j], b1[j], b2[j], b3[j]
+			for k, ljk := range row {
+				s0 -= float64(ljk * x0[k])
+				s1 -= float64(ljk * x1[k])
+				s2 -= float64(ljk * x2[k])
+				s3 -= float64(ljk * x3[k])
+			}
+			d := lt.Data[j*n+j]
+			b0[j], b1[j], b2[j], b3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < end; i++ {
+		CholeskySolve(l, m.Row(i))
 	}
 }
 
@@ -205,8 +264,8 @@ func PseudoInverseInto(v *Matrix, tol float64, out, w, q *Matrix, vals, inv []fl
 
 // SolveNormals overwrites m (I×R) with m·V†, the A(n) ← M·V† update on
 // lines 5/8/11 of Algorithm 1. It first attempts the SPD fast path
-// (Cholesky factor once, then per-row triangular solves split across the
-// team); if V is not positive definite it falls back to the explicit
+// (Cholesky factor once, then row-batched triangular solves split across
+// the team); if V is not positive definite it falls back to the explicit
 // eigen-based pseudo-inverse. v is preserved.
 //
 // This is the "Inverse" routine of the paper's tables: the factorization
@@ -218,10 +277,9 @@ func SolveNormals(team *parallel.Team, v *Matrix, m *Matrix) {
 	}
 	l := v.Clone()
 	if err := Cholesky(l); err == nil {
+		lt := l.Transpose()
 		parallel.ForBlocks(team, m.Rows, func(_, begin, end int) {
-			for i := begin; i < end; i++ {
-				CholeskySolve(l, m.Row(i))
-			}
+			cholSolveRows(l, lt, m, begin, end, make([]float64, cholBatch*l.Rows))
 		})
 		return
 	}

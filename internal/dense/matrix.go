@@ -137,13 +137,17 @@ func (m *Matrix) Fill(v float64) {
 // Transpose returns mᵀ as a new matrix.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Cols+i] = v
+	transposeInto(out, m)
+	return out
+}
+
+// transposeInto writes srcᵀ into dst, which must be src.Cols×src.Rows.
+func transposeInto(dst, src *Matrix) {
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*dst.Cols+i] = v
 		}
 	}
-	return out
 }
 
 // Equal reports whether m and other agree elementwise within tol.

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/parallel"
 )
 
 // withGenericKernels runs fn with the dispatch table forced to the pure-Go
@@ -18,16 +20,19 @@ func withGenericKernels(fn func()) {
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow
 	sAxpyMS, sScaleMS, sMulAxpy, sMulSS :=
 		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet
+	sChol := cholSolveRows
 	vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 		vecAxpyGeneric, vecAddGeneric, vecMulGeneric, vecMulAddGeneric,
 		vecMulSetGeneric, vecScaleSetGeneric, vecDotGeneric, syrkRowGeneric
 	vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
 		vecAxpyMulSetCompose, vecScaleMulSetCompose, vecMulAxpyGeneric, vecMulScaleSetGeneric
+	cholSolveRows = cholSolveRowsGeneric
 	defer func() {
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 			sAxpy, sAdd, sMul, sMulAdd, sMulSet, sScaleSet, sDot, sSyrk
 		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
 			sAxpyMS, sScaleMS, sMulAxpy, sMulSS
+		cholSolveRows = sChol
 	}()
 	fn()
 }
@@ -228,6 +233,111 @@ func FuzzVecKernelsRawBits(f *testing.F) {
 	})
 }
 
+// cholFactors returns the Cholesky factor L, and its transpose, of the
+// Gram matrix G = BᵀB (B is rows×r with entries from next) with a ridge of
+// diag(G) + ridge·I added: SPD, and well conditioned after diagonal
+// scaling whatever B is, so the factorization cannot fail on rounding.
+func cholFactors(t testing.TB, r, rows int, ridge float64, next func() float64) (l, lt *Matrix) {
+	t.Helper()
+	b := NewMatrix(rows, r)
+	for i := range b.Data {
+		b.Data[i] = next()
+	}
+	l = NewMatrix(r, r)
+	Syrk(nil, b, l)
+	for i := 0; i < r; i++ {
+		l.Set(i, i, 2*l.At(i, i)+ridge)
+	}
+	if err := Cholesky(l); err != nil {
+		t.Fatalf("r=%d: ridged Gram not SPD: %v", r, err)
+	}
+	return l, l.Transpose()
+}
+
+// checkCholSolveRows runs the dispatched cholSolveRows on rows [begin, end)
+// of m and requires every element of the result, inside the window and
+// out, to carry the same bits as per-row CholeskySolve on that window.
+func checkCholSolveRows(t *testing.T, l, lt, m *Matrix, begin, end int) {
+	t.Helper()
+	want := m.Clone()
+	for i := begin; i < end; i++ {
+		CholeskySolve(l, want.Row(i))
+	}
+	got := m.Clone()
+	cholSolveRows(l, lt, got, begin, end, make([]float64, cholBatch*l.Rows))
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("isa=%s r=%d rows=%d [%d,%d): element (%d,%d) = %v, CholeskySolve %v",
+				KernelISA(), l.Rows, m.Rows, begin, end, i/l.Rows, i%l.Rows, got.Data[i], w)
+		}
+	}
+}
+
+// TestCholSolveRowsMatchesCholeskySolve pins the row-batched solve to the
+// per-row reference bit for bit, native and generic, over ranks on both
+// sides of the 4- and 8-row batch widths and windows that start off a
+// batch boundary the way team partitions do.
+func TestCholSolveRowsMatchesCholeskySolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rowCounts := []int{1003}
+	for n := 0; n < 20; n++ {
+		rowCounts = append(rowCounts, n)
+	}
+	for _, r := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 35, 40} {
+		l, lt := cholFactors(t, r, 2*r+3, 0.5, rng.NormFloat64)
+		for _, rows := range rowCounts {
+			m := NewRandomMatrix(rows, r, rng)
+			windows := [][2]int{{0, rows}}
+			if rows > 4 {
+				windows = append(windows, [2]int{1, rows}, [2]int{3, rows - 1})
+			}
+			for tid := 0; tid < 3; tid++ {
+				begin, end := parallel.Partition(rows, 3, tid)
+				windows = append(windows, [2]int{begin, end})
+			}
+			for _, w := range windows {
+				checkCholSolveRows(t, l, lt, m, w[0], w[1])
+				withGenericKernels(func() { checkCholSolveRows(t, l, lt, m, w[0], w[1]) })
+			}
+		}
+	}
+}
+
+// FuzzCholSolveRows derives the rank, the row window, an SPD V (Gram plus
+// ridge) and the right-hand sides from the fuzz bytes; the row-batched
+// solve must match per-row CholeskySolve bit for bit, native and generic.
+func FuzzCholSolveRows(f *testing.F) {
+	f.Add([]byte{34, 21, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{7, 9, 1, 1, 0x80, 0x7f, 0x10})
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{39, 40, 5, 2, 0xff, 0xfe, 0x01, 0x33, 0x9c, 0x42, 0x07, 0xe1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 5 {
+			return
+		}
+		r := 1 + int(raw[0])%40
+		rows := int(raw[1]) % 48
+		begin := int(raw[2]) % (rows + 1)
+		end := begin + int(raw[3])%(rows-begin+1)
+		payload := raw[4:]
+		pos := 0
+		// Entries are small integers scaled by a power of two the payload
+		// also picks, so magnitudes span many binades but stay finite.
+		next := func() float64 {
+			b, e := payload[pos%len(payload)], payload[(pos+1)%len(payload)]
+			pos++
+			return math.Ldexp(float64(int8(b)), int(e%32)-16)
+		}
+		l, lt := cholFactors(t, r, r+int(raw[3]%4), 1, next)
+		m := NewMatrix(rows, r)
+		for i := range m.Data {
+			m.Data[i] = next()
+		}
+		checkCholSolveRows(t, l, lt, m, begin, end)
+		withGenericKernels(func() { checkCholSolveRows(t, l, lt, m, begin, end) })
+	})
+}
+
 func benchSizes(b *testing.B, name string, run func(b *testing.B, n int)) {
 	b.Helper()
 	for _, n := range []int{16, 1024} {
@@ -302,4 +412,32 @@ func BenchmarkSyrk(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkCholSolveRows times the row-batched triangular solve over a
+// factor-sized block (4096 rows) at R = 16 and the paper's R = 35. The
+// right-hand sides are restored before every solve (untimed): solving in
+// place repeatedly would shrink them into the slow denormal range.
+func BenchmarkCholSolveRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const rows = 4096
+	for _, r := range []int{16, 35} {
+		l, lt := cholFactors(b, r, 2*r, 1, rng.NormFloat64)
+		rhs := NewRandomMatrix(rows, r, rng)
+		m := rhs.Clone()
+		scratch := make([]float64, cholBatch*r)
+		run := func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m.CopyFrom(rhs)
+				b.StartTimer()
+				cholSolveRows(l, lt, m, 0, rows, scratch)
+			}
+		}
+		name := "r=" + strconv.Itoa(r)
+		b.Run(name+"/isa=native", run)
+		b.Run(name+"/isa=generic", func(b *testing.B) { withGenericKernels(func() { run(b) }) })
+	}
 }

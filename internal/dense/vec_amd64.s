@@ -596,3 +596,97 @@ mss_s1:
 mss_done:
 	VZEROUPPER
 	RET
+
+// func cholSolve8AVX2(l, lt, x []float64)
+//
+// Solves (L·Lᵀ)·x = b for eight right-hand sides at once, in place. x is
+// n×8 interleaved (x[k*8+r] is element k of row r), n = len(x)/8; l holds
+// L and lt holds Lᵀ, both n×n row-major. Y0 carries rows 0-3 and Y1 rows
+// 4-7 of the element being solved. Every lane runs CholeskySolve's
+// sequence: ascending k, a rounded VMULPD then a VSUBPD (deliberately not
+// a fused VFNMADD, which would round once and break bitwise parity with
+// the portable body), then a VDIVPD by the diagonal.
+TEXT ·cholSolve8AVX2(SB), NOSPLIT, $0-72
+	MOVQ l_base+0(FP), SI
+	MOVQ lt_base+24(FP), DX
+	MOVQ x_base+48(FP), DI
+	MOVQ x_len+56(FP), CX
+	SHRQ $3, CX             // n
+	MOVQ CX, R11            // row stride of l and lt in bytes
+	SHLQ $3, R11
+
+	// Forward: L·y = b, i ascending; y[i] -= L[i,k]·y[k] for k < i.
+	XORQ AX, AX             // i
+	MOVQ SI, R8             // &L[i,0]
+	MOVQ DI, R9             // &x[i*8]
+chol_fwd_row:
+	CMPQ AX, CX
+	JGE  chol_bwd
+	VMOVUPD (R9), Y0
+	VMOVUPD 32(R9), Y1
+	XORQ BX, BX             // k
+	MOVQ DI, R10            // &x[k*8]
+	TESTQ AX, AX
+	JE   chol_fwd_div
+chol_fwd_k:
+	VBROADCASTSD (R8)(BX*8), Y2
+	VMULPD (R10), Y2, Y3
+	VMULPD 32(R10), Y2, Y4
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y4, Y1, Y1
+	ADDQ $64, R10
+	INCQ BX
+	CMPQ BX, AX
+	JL   chol_fwd_k
+chol_fwd_div:
+	VBROADCASTSD (R8)(AX*8), Y2
+	VDIVPD Y2, Y0, Y0
+	VDIVPD Y2, Y1, Y1
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
+	ADDQ R11, R8
+	ADDQ $64, R9
+	INCQ AX
+	JMP  chol_fwd_row
+
+	// Backward: Lᵀ·x = y, i descending; x[i] -= Lᵀ[i,k]·x[k] for k > i.
+chol_bwd:
+	MOVQ CX, AX
+	DECQ AX                 // i = n-1
+	JL   chol_done
+	MOVQ AX, R8
+	IMULQ R11, R8
+	ADDQ DX, R8             // &Lᵀ[i,0]
+	MOVQ AX, R9
+	SHLQ $6, R9
+	ADDQ DI, R9             // &x[i*8]
+chol_bwd_row:
+	VMOVUPD (R9), Y0
+	VMOVUPD 32(R9), Y1
+	LEAQ 1(AX), BX          // k
+	LEAQ 64(R9), R10        // &x[k*8]
+	CMPQ BX, CX
+	JGE  chol_bwd_div
+chol_bwd_k:
+	VBROADCASTSD (R8)(BX*8), Y2
+	VMULPD (R10), Y2, Y3
+	VMULPD 32(R10), Y2, Y4
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y4, Y1, Y1
+	ADDQ $64, R10
+	INCQ BX
+	CMPQ BX, CX
+	JL   chol_bwd_k
+chol_bwd_div:
+	VBROADCASTSD (R8)(AX*8), Y2
+	VDIVPD Y2, Y0, Y0
+	VDIVPD Y2, Y1, Y1
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
+	SUBQ R11, R8
+	SUBQ $64, R9
+	DECQ AX
+	JGE  chol_bwd_row
+chol_done:
+	VZEROUPPER
+	RET

@@ -29,9 +29,10 @@ type Workspace struct {
 
 	partGram [][]float64 // per-task r×r Gram partials
 	partNorm [][]float64 // per-task r-length norm partials
-	rowTmp   [][]float64 // per-task r-length row scratch
+	rowTmp   [][]float64 // per-task cholBatch·r solve interleave / pinv row scratch
 	inv      []float64   // column-scale reciprocals
-	chol     *Matrix     // cached Cholesky factor (r×r)
+	chol     *Matrix     // cached Cholesky factor L (r×r)
+	cholT    *Matrix     // its transpose Lᵀ, for the backward pass
 	eigW     *Matrix     // Jacobi working copy
 	eigQ     *Matrix     // eigenvectors
 	eigVals  []float64
@@ -72,11 +73,12 @@ func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspa
 		ta := arena.Task(t)
 		w.partGram[t] = ta.F64(r * r)
 		w.partNorm[t] = ta.F64(r)
-		w.rowTmp[t] = ta.F64(r)
+		w.rowTmp[t] = ta.F64(cholBatch * r)
 	}
 	t0 := arena.Task(0)
 	w.inv = t0.F64(r)
 	w.chol = NewMatrixFrom(r, r, t0.F64(r*r))
+	w.cholT = NewMatrixFrom(r, r, t0.F64(r*r))
 	w.eigW = NewMatrixFrom(r, r, t0.F64(r*r))
 	w.eigQ = NewMatrixFrom(r, r, t0.F64(r*r))
 	w.pinv = NewMatrixFrom(r, r, t0.F64(r*r))
@@ -99,27 +101,31 @@ func NewWorkspace(team *parallel.Team, arena *parallel.Arena, rank int) *Workspa
 	}
 	w.solveBody = func(tid int) {
 		begin, end := parallel.Partition(w.curSolve.Rows, w.tasks, tid)
-		for i := begin; i < end; i++ {
-			CholeskySolve(w.chol, w.curSolve.Row(i))
-		}
+		cholSolveRows(w.chol, w.cholT, w.curSolve, begin, end, w.rowTmp[tid])
 	}
 	w.pinvBody = func(tid int) {
 		begin, end := parallel.Partition(w.curSolve.Rows, w.tasks, tid)
-		tmp := w.rowTmp[tid]
 		for i := begin; i < end; i++ {
-			row := w.curSolve.Row(i)
-			for j := 0; j < w.rank; j++ {
-				s := 0.0
-				prow := w.pinv.Row(j)
-				for k := 0; k < w.rank; k++ {
-					s += row[k] * prow[k] // pinv is symmetric: row view = col view
-				}
-				tmp[j] = s
-			}
-			copy(row, tmp)
+			pinvApplyRow(w.pinv, w.curSolve.Row(i), w.rowTmp[tid])
 		}
 	}
 	return w
+}
+
+// pinvApplyRow overwrites row with row·V† for the pseudo-inverse pinv,
+// staging the products in tmp (at least len(row) long). V† is symmetric,
+// so its rows stand in for its columns and every dot product reads
+// contiguous memory.
+func pinvApplyRow(pinv *Matrix, row, tmp []float64) {
+	for j := range row {
+		s := 0.0
+		prow := pinv.Row(j)
+		for k, x := range row {
+			s += x * prow[k]
+		}
+		tmp[j] = s
+	}
+	copy(row, tmp)
 }
 
 // run dispatches a cached body across the team (inline when serial).
@@ -235,7 +241,8 @@ func reduceNorms(parts [][]float64, lambda []float64, kind NormKind) {
 }
 
 // SolveNormals overwrites m (I×rank) with m·V†: Cholesky fast path with the
-// factor built in the cached buffer, eigen-based pseudo-inverse fallback
+// factor and its transpose built in the cached buffers and the rows solved
+// in batches by cholSolveRows, eigen-based pseudo-inverse fallback
 // through the cached Jacobi scratch. Allocation-free on both paths.
 func (w *Workspace) SolveNormals(v, m *Matrix) {
 	r := w.rank
@@ -246,6 +253,7 @@ func (w *Workspace) SolveNormals(v, m *Matrix) {
 	w.chol.CopyFrom(v)
 	w.curSolve = m
 	if err := Cholesky(w.chol); err == nil {
+		transposeInto(w.cholT, w.chol)
 		w.run(w.solveBody)
 		w.curSolve = nil
 		return
