@@ -73,7 +73,7 @@ type Encoding struct {
 	// the parity fuzz); used on the hot path only when native is true.
 	pextMasks []uint64
 	// native selects the BMI2 assembly for ExtractAll/Step/Linearize/
-	// DelinearizeRange and the operator's tile walker. Set from
+	// DelinearizeRange and the operator's fused walker. Set from
 	// NativeExtract() at construction, overridable per encoding in tests.
 	native bool
 }

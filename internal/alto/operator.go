@@ -13,8 +13,8 @@ import (
 
 // Operator performs MTTKRPs for every mode of an ALTO tensor. One Operator
 // is built per CP-ALS run and reused across all iterations, owning the
-// mutex pool, privatization buffers, and per-task tile workspaces exactly
-// as the CSF operator does.
+// mutex pool, privatization buffers, and per-task walker workspaces
+// exactly as the CSF operator does.
 //
 // Parallelization splits the linearized nonzero array into contiguous
 // per-task ranges (perfect nnz balance by construction — no slice-weight
@@ -28,7 +28,9 @@ import (
 // fiber-product reuse. Run accumulation is lazy (a single-nonzero run
 // flushes with one fused multiply-add), and the accumulator flushes only
 // when the output-mode index changes, so lock traffic scales with the
-// mode's fiber-run count, not with nnz.
+// mode's fiber-run count, not with nnz. On hosts with BMI2 and AVX2+FMA the
+// order-3 narrow path runs the same walk as one assembly loop per task
+// (runRange3Native).
 type Operator struct {
 	t    *Tensor
 	team *parallel.Team
@@ -39,7 +41,8 @@ type Operator struct {
 	priv   *parallel.Scratch
 	bounds []int // contiguous nonzero ranges, len tasks+1
 
-	kernels []taskKernel // per-task tile workspaces
+	kernels []taskKernel // per-task walker workspaces
+	faults  []any        // per-task panic raised by the last Apply
 
 	// Staged operands of the in-flight Apply; runBody is built once so no
 	// closure is materialized per call.
@@ -57,18 +60,8 @@ type taskKernel struct {
 	cur   []uint64  // incremental walker state: current coordinate per mode
 	acc   []float64 // output-row accumulator (rank)
 	hprod []float64 // cached non-target Hadamard product (rank)
-
-	// Tile buffers for the native (BMI2) order-3 walker: pext3Tile batch-
-	// delinearizes tileN keys per assembly call, amortizing the call
-	// overhead to a fraction of a nanosecond per nonzero. Allocated only
-	// when that walker is selected.
-	idxT, idxA, idxB []uint32
+	walk  walker3   // fused order-3 walker state (native walker only)
 }
-
-// tileN is the nonzeros-per-pext3Tile-call batch size of the native
-// order-3 walker: large enough to amortize the assembly call, small enough
-// that the three uint32 buffers (3×4·tileN = 6 KiB) stay L1-resident.
-const tileN = 512
 
 // NewOperator builds an operator for the given ALTO tensor. rank is the
 // decomposition rank R; team may be nil for serial execution. Workspace
@@ -76,14 +69,15 @@ const tileN = 512
 func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) *Operator {
 	o := &Operator{t: t, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	maxDim := 0
-	for _, d := range t.Enc.Dims {
-		if d > maxDim {
-			maxDim = d
+	// Privatization buffers are sized for the modes that privatize only.
+	privSize := 0
+	for m, d := range t.Enc.Dims {
+		if o.StrategyFor(m) == mttkrp.StrategyPrivatize {
+			privSize = max(privSize, d*rank)
 		}
 	}
 	tasks := o.tasks()
-	o.priv = parallel.NewScratch(tasks, maxDim*rank)
+	o.priv = parallel.NewScratch(tasks, privSize)
 	o.bounds = make([]int, tasks+1)
 	for tid := 0; tid < tasks; tid++ {
 		begin, _ := parallel.Partition(t.NNZ(), tasks, tid)
@@ -96,21 +90,18 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		arena = parallel.NewArena(tasks)
 	}
 	order := t.Order()
-	native3 := order == 3 && t.Hi == nil && t.Enc.native
+	native3 := order == 3 && t.Hi == nil && t.Enc.native && nativeWalk3
 	o.kernels = make([]taskKernel, tasks)
+	o.faults = make([]any, tasks)
 	for tid := range o.kernels {
 		ta := arena.Task(tid)
 		k := &o.kernels[tid]
 		k.cur = make([]uint64, order)
 		k.acc = ta.F64(rank)
 		k.hprod = ta.F64(rank)
-		if native3 {
-			k.idxT = make([]uint32, tileN)
-			k.idxA = make([]uint32, tileN)
-			k.idxB = make([]uint32, tileN)
-		}
 	}
 	o.runBody = func(tid int) {
+		defer o.catch(tid)
 		begin, end := o.bounds[tid], o.bounds[tid+1]
 		if begin >= end {
 			return
@@ -125,6 +116,15 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		}
 	}
 	return o
+}
+
+// catch records a panic raised by task tid (an out-of-range index in a
+// corrupted key), so Apply re-raises it on the calling goroutine instead
+// of the panic killing a team worker.
+func (o *Operator) catch(tid int) {
+	if r := recover(); r != nil {
+		o.faults[tid] = r
+	}
 }
 
 func (o *Operator) tasks() int {
@@ -182,6 +182,12 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 		o.team.Run(o.runBody)
 	}
 	o.curFactors, o.curOut = nil, nil
+	for _, r := range o.faults {
+		if r != nil {
+			clear(o.faults)
+			panic(r)
+		}
+	}
 	if strategy == mttkrp.StrategyPrivatize {
 		o.priv.ReduceInto(o.team, out.Data, dims[mode]*o.rank)
 	}
@@ -195,8 +201,9 @@ func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 	id := int(row)
 	switch strategy {
 	case mttkrp.StrategyLock:
+		target := out.Row(id) // bounds-checked outside the lock
 		o.pool.Lock(id)
-		dense.VecAdd(out.Row(id), acc)
+		dense.VecAdd(target, acc)
 		o.pool.Unlock(id)
 	case mttkrp.StrategyPrivatize:
 		dense.VecAdd(privBuf[id*o.rank:id*o.rank+o.rank], acc)
@@ -232,7 +239,8 @@ func (o *Operator) runRange(tid, begin, end int) {
 
 	var privBuf []float64
 	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
+		n := o.t.Enc.Dims[mode] * o.rank
+		privBuf = o.priv.Buf(tid)[:n:n]
 	}
 
 	prevLo := lo[begin]
@@ -280,20 +288,13 @@ func (o *Operator) runRange3(tid, begin, end int) {
 	acc, hprod := k.acc, k.hprod
 	deltas := enc.chunkDeltas
 
-	var ma, mb int // the two non-target modes
-	switch mode {
-	case 0:
-		ma, mb = 1, 2
-	case 1:
-		ma, mb = 0, 2
-	default:
-		ma, mb = 0, 1
-	}
+	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 
 	var privBuf []float64
 	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
+		n := o.t.Enc.Dims[mode] * o.rank
+		privBuf = o.priv.Buf(tid)[:n:n]
 	}
 
 	prevLo := lo[begin]
@@ -375,160 +376,95 @@ func (o *Operator) runRange3(tid, begin, end int) {
 	o.flushRun(strategy, out, privBuf, curRow, acc, hprod, vpend, pendValid, accUsed)
 }
 
-// runRange3Native is the BMI2 variant of runRange3: instead of patching
-// walker registers from per-byte delta tables, it batch-delinearizes tileN
-// keys at a time with pext3Tile (one pext per mode per key, no tables, no
-// branches) into L1-resident index buffers, then drives the lazy-run
-// accumulation off plain value compares (equivalent to the XOR-delta flags
-// of the portable walker, both being exact). Unlike the portable walker it
-// never materializes the Hadamard product: a run's pending value flushes
-// straight from the factor rows with the fused scaled-Hadamard kernels
-// (dst (+)= v·(ra⊙rb)), saving two rank-length load/store passes per
-// coordinate change — in the dense-tensor regime where nearly every
-// nonzero starts a new run, that is per nonzero.
-func (o *Operator) runRange3Native(tid, begin, end int) {
-	enc := o.t.Enc
-	mode := o.curMode
-	factors, out, strategy := o.curFactors, o.curOut, o.curStrategy
-	lo, vals := o.t.Lo, o.t.Vals
-	k := &o.kernels[tid]
-	acc := k.acc
-	idxT, idxA, idxB := k.idxT, k.idxA, k.idxB
+// walker3 is one task's operands and run state for the fused order-3
+// walker; the assembly reads its fields through go_asm.h offsets.
+type walker3 struct {
+	keys       []uint64  // Lo up to the range end: the walk stops at len(keys)
+	vals       []float64 // Vals up to the range end
+	a, b       []float64 // non-target factor rows, rank-strided
+	flat       []float64 // lock-free flush target (rowsT rows); nil under locks
+	acc        []float64 // run accumulator (rank)
+	mT, mA, mB uint64    // pext masks of the target and non-target modes
+	// Row bounds every adopted index is checked against.
+	rowsT, rowsA, rowsB uint64
+	rank                int
 
-	var ma, mb int // the two non-target modes
-	switch mode {
-	case 0:
-		ma, mb = 1, 2
-	case 1:
-		ma, mb = 0, 2
-	default:
-		ma, mb = 0, 1
-	}
-	fa, fb := factors[ma], factors[mb]
-	// Narrow encoding: each mode's bits live entirely in the low word, so
-	// the low-word pext mask alone extracts the full index.
-	mT := enc.pextMasks[3*mode]
-	mA := enc.pextMasks[3*ma]
-	mB := enc.pextMasks[3*mb]
-
-	var privBuf []float64
-	if strategy == mttkrp.StrategyPrivatize {
-		privBuf = o.priv.Buf(tid)
-	}
-	// Lock-free strategies write rank-strided rows of one flat array
-	// (task-private or the output itself), so the dominant dense-tensor
-	// step — new row on an unmaterialized single-value run — can flush with
-	// ONE fused kernel call, no flushRunRows dispatch. Under locks the
-	// flush must stay inside the pool's critical section.
-	rank := o.rank
-	var flat []float64
-	switch strategy {
-	case mttkrp.StrategyPrivatize:
-		flat = privBuf
-	case mttkrp.StrategyLock:
-		// flat stays nil: fused fast path disabled
-	default:
-		flat = out.Data
-	}
-
-	var curT, curA, curB uint32
-	var curRow sptensor.Index
-	var vpend float64
-	var pendValid, accUsed bool
-	first := true
-
-	for base := begin; base < end; base += tileN {
-		n := end - base
-		if n > tileN {
-			n = tileN
-		}
-		pext3Tile(lo[base:base+n], mT, mA, mB, idxT, idxA, idxB)
-		x := 0
-		if first {
-			curT, curA, curB = idxT[0], idxA[0], idxB[0]
-			curRow = sptensor.Index(curT)
-			vpend = vals[base]
-			pendValid = true
-			first = false
-			x = 1
-		}
-		for ; x < n; x++ {
-			nT, nA, nB := idxT[x], idxA[x], idxB[x]
-			if nT == curT {
-				if nA == curA && nB == curB {
-					// Merged keys share row and Hadamard coordinates.
-					if pendValid {
-						vpend += vals[base+x]
-					} else {
-						vpend = vals[base+x]
-						pendValid = true
-					}
-					continue
-				}
-				// Same row, new coordinates: materialize the pending value
-				// into the accumulator under the OLD rows.
-				if pendValid {
-					ra, rb := fa.Row(int(curA)), fb.Row(int(curB))
-					if accUsed {
-						dense.VecMulAxpy(acc, ra, rb, vpend)
-					} else {
-						dense.VecMulScaleSet(acc, ra, rb, vpend)
-						accUsed = true
-					}
-				}
-				curA, curB = nA, nB
-				vpend = vals[base+x]
-				pendValid = true
-				continue
-			}
-			// Row change: flush the finished run.
-			if flat != nil && pendValid && !accUsed {
-				id := int(curT) * rank
-				dense.VecMulAxpy(flat[id:id+rank], fa.Row(int(curA)), fb.Row(int(curB)), vpend)
-			} else {
-				o.flushRunRows(strategy, out, privBuf, curRow,
-					acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
-				accUsed = false
-			}
-			curT, curA, curB = nT, nA, nB
-			curRow = sptensor.Index(curT)
-			vpend = vals[base+x]
-			pendValid = true
-		}
-	}
-	o.flushRunRows(strategy, out, privBuf, curRow,
-		acc, fa.Row(int(curA)), fb.Row(int(curB)), vpend, pendValid, accUsed)
+	// Run state: x is the next key to adopt; when the walker returns a
+	// finished run, cur* are its last coordinates and vpend its pending value.
+	x                int
+	curT, curA, curB uint64
+	vpend            float64
+	accUsed          bool
 }
 
-// flushRunRows is flushRun for the hprod-free native walker: the pending
-// value flushes directly from the factor rows via the fused scaled-Hadamard
-// kernel.
-func (o *Operator) flushRunRows(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc, ra, rb []float64, vpend float64,
-	pendValid, accUsed bool) {
+// Results of walk3AVX2.
+const (
+	walkDone       = iota // range walked, every run flushed
+	walkRun               // a finished run awaits a locked flush (flat == nil)
+	walkOutOfRange        // key x holds an index outside its mode
+)
 
-	id := int(row)
-	var target []float64
-	locked := false
-	switch strategy {
-	case mttkrp.StrategyLock:
-		o.pool.Lock(id)
-		locked = true
-		target = out.Row(id)
-	case mttkrp.StrategyPrivatize:
-		target = privBuf[id*o.rank : id*o.rank+o.rank]
-	default:
-		target = out.Row(id)
+// runRange3Native drives the fused AVX2+BMI2 walker (walk3AVX2) over one
+// task's range. The walker reads the sorted keys directly, extracts each
+// mode's index with one pext, and runs the lazy-run accumulation of
+// runRange3 with the rank loop in YMM registers, in the same operation
+// sequence: duplicate keys add into the pending value; a same-row
+// coordinate change materializes it into acc as v·round(a·b), then as an
+// FMA; a row change adds acc into the target row and then applies
+// fma(v, round(a·b), target). The Hadamard product rounds before the FMA
+// because the portable walker materializes it into hprod first, so both
+// walkers agree bit for bit. Lock-free strategies flush inside the
+// walker; under locks it returns each finished run, which is flushed here
+// inside the pool lock.
+func (o *Operator) runRange3Native(tid, begin, end int) {
+	enc, mode, rank := o.t.Enc, o.curMode, o.rank
+	ma, mb := otherModes3(mode)
+	fa, fb := o.curFactors[ma], o.curFactors[mb]
+	dimT := enc.Dims[mode]
+	k := &o.kernels[tid]
+	w := &k.walk
+	*w = walker3{
+		keys: o.t.Lo[:end], vals: o.t.Vals[:end],
+		a: fa.Data[:fa.Rows*rank], b: fb.Data[:fb.Rows*rank],
+		acc: k.acc[:rank],
+		// Narrow encoding: the low-word pext masks extract whole indices.
+		mT: enc.pextMasks[3*mode], mA: enc.pextMasks[3*ma], mB: enc.pextMasks[3*mb],
+		rowsT: uint64(dimT), rowsA: uint64(fa.Rows), rowsB: uint64(fb.Rows),
+		rank: rank, x: begin,
 	}
+	switch o.curStrategy {
+	case mttkrp.StrategyPrivatize:
+		w.flat = o.priv.Buf(tid)[:dimT*rank]
+	case mttkrp.StrategyNone:
+		w.flat = o.curOut.Data[:dimT*rank]
+	}
+	for {
+		switch walk3AVX2(w) {
+		case walkDone:
+			return
+		case walkOutOfRange:
+			panic(fmt.Sprintf("alto: nonzero %d has an index out of range", w.x))
+		}
+		o.flushRunRows(w.curT, w.acc, fa.Row(int(w.curA)), fb.Row(int(w.curB)), w.vpend, w.accUsed)
+		if w.x == end {
+			return
+		}
+		w.accUsed = false
+	}
+}
+
+// flushRunRows flushes one run the native walker handed back under the
+// lock strategy: the materialized accumulator (if any), then the pending
+// value straight from the factor rows via the fused scaled-Hadamard kernel.
+func (o *Operator) flushRunRows(row uint64, acc, ra, rb []float64, vpend float64, accUsed bool) {
+	id := int(row)
+	target := o.curOut.Row(id)
+	o.pool.Lock(id)
 	if accUsed {
 		dense.VecAdd(target, acc)
 	}
-	if pendValid {
-		dense.VecMulAxpy(target, ra, rb, vpend)
-	}
-	if locked {
-		o.pool.Unlock(id)
-	}
+	dense.VecMulAxpy(target, ra, rb, vpend)
+	o.pool.Unlock(id)
 	if accUsed {
 		dense.VecZero(acc)
 	}
@@ -542,16 +478,15 @@ func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 
 	id := int(row)
 	var target []float64
-	locked := false
 	switch strategy {
-	case mttkrp.StrategyLock:
-		o.pool.Lock(id)
-		locked = true
-		target = out.Row(id)
 	case mttkrp.StrategyPrivatize:
 		target = privBuf[id*o.rank : id*o.rank+o.rank]
 	default:
 		target = out.Row(id)
+	}
+	locked := strategy == mttkrp.StrategyLock
+	if locked { // the target is bounds-checked outside the lock
+		o.pool.Lock(id)
 	}
 	if accUsed {
 		dense.VecAdd(target, acc)
@@ -565,6 +500,17 @@ func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 	if accUsed {
 		dense.VecZero(acc)
 	}
+}
+
+// otherModes3 returns the two non-target modes of an order-3 tensor.
+func otherModes3(mode int) (ma, mb int) {
+	switch mode {
+	case 0:
+		return 1, 2
+	case 1:
+		return 0, 2
+	}
+	return 0, 1
 }
 
 // vecMaterializeMulSet / vecMaterializeMul materialize a pending run and

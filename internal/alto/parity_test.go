@@ -99,43 +99,8 @@ func TestNativeStepMatchesTables(t *testing.T) {
 	}
 }
 
-func TestPext3TileMatchesExtract(t *testing.T) {
-	if !NativeExtract() {
-		t.Skip("no native bit extraction on this build")
-	}
-	rng := rand.New(rand.NewSource(37))
-	for _, dims := range [][]int{{37, 19, 53}, {1 << 20, 1 << 20, 1 << 20}, {2, 3, 5}} {
-		e, err := NewEncoding(dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Uneven length exercises the partial final tile of the walker.
-		const n = tileN + 137
-		keys := make([]uint64, n)
-		coord := make([]sptensor.Index, 3)
-		for x := range keys {
-			for m, d := range dims {
-				coord[m] = sptensor.Index(rng.Intn(d))
-			}
-			keys[x], _ = e.Linearize(coord)
-		}
-		outT := make([]uint32, n)
-		outA := make([]uint32, n)
-		outB := make([]uint32, n)
-		pext3Tile(keys, e.pextMasks[0], e.pextMasks[3], e.pextMasks[6], outT, outA, outB)
-		for x, key := range keys {
-			for m, out := range [][]uint32{outT, outA, outB} {
-				if want := e.Extract(key, 0, m); sptensor.Index(out[x]) != want {
-					t.Fatalf("dims %v key %d mode %d: tile %d != Extract %d",
-						dims, x, m, out[x], want)
-				}
-			}
-		}
-	}
-}
-
 // TestOperatorNativeMatchesPortableWalker runs the same MTTKRP through the
-// native tile walker and the portable byte-patch walker. Both execute the
+// native fused walker and the portable byte-patch walker. Both execute the
 // identical sequence of run flushes and Hadamard recomputes, so the
 // outputs must agree bitwise, not just within tolerance.
 func TestOperatorNativeMatchesPortableWalker(t *testing.T) {

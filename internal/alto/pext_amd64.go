@@ -17,13 +17,16 @@ var nativeBitExtract = cpu.HasBMI2
 //go:noescape
 func pextAll(lo, hi uint64, masks []uint64, cur []uint64) uint32
 
-// pext3Tile delinearizes a tile of narrow (single-word) order-3 keys with
-// one pext per mode per key: outT/outA/outB receive the indices extracted
-// under the three masks for every key. Lengths of the out slices must be
-// at least len(keys). Implemented in pext_amd64.s.
+// nativeWalk3 gates the fused order-3 walker, which needs the dense
+// kernels' AVX2+FMA on top of BMI2.
+var nativeWalk3 = cpu.HasBMI2 && cpu.HasAVX2 && cpu.HasFMA
+
+// walk3AVX2 walks w.keys from w.x with the fused order-3 walker (see
+// runRange3Native) and reports one of walkDone, walkRun or walkOutOfRange.
+// Implemented in pext_amd64.s.
 //
 //go:noescape
-func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32)
+func walk3AVX2(w *walker3) int
 
 // pdepKey linearizes one coordinate tuple (cur, len = order) into a
 // (lo, hi) key — the pdep mirror of pextAll. Implemented in pext_amd64.s.

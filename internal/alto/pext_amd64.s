@@ -1,5 +1,6 @@
 //go:build amd64 && !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // BMI2 bit-extraction kernels. masks is laid out 3 uint64s per mode:
@@ -48,31 +49,231 @@ pa_done:
 	MOVL R15, ret+64(FP)
 	RET
 
-// func pext3Tile(keys []uint64, mT, mA, mB uint64, outT, outA, outB []uint32)
-TEXT ·pext3Tile(SB), NOSPLIT, $0-120
-	MOVQ keys_base+0(FP), SI
-	MOVQ keys_len+8(FP), CX
-	MOVQ mT+24(FP), R8
-	MOVQ mA+32(FP), R9
-	MOVQ mB+40(FP), R10
-	MOVQ outT_base+48(FP), DI
-	MOVQ outA_base+72(FP), R11
-	MOVQ outB_base+96(FP), R12
-	XORQ AX, AX
-	TESTQ CX, CX
-	JZ   p3_done
-p3_loop:
-	MOVQ (SI)(AX*8), DX
-	PEXTQ R8, DX, R13
-	PEXTQ R9, DX, R14
-	PEXTQ R10, DX, R15
-	MOVL R13, (DI)(AX*4)
-	MOVL R14, (R11)(AX*4)
-	MOVL R15, (R12)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JL   p3_loop
-p3_done:
+// CALC_ROWS points R14, AX and DX at the flat row curT and the factor
+// rows curA and curB of the current run.
+#define CALC_ROWS \
+	MOVQ  R10, R14 \
+	IMULQ CX, R14 \
+	SHLQ  $3, R14 \
+	ADDQ  walker3_flat(DI), R14 \
+	MOVQ  R11, AX \
+	IMULQ CX, AX \
+	SHLQ  $3, AX \
+	ADDQ  walker3_a(DI), AX \
+	MOVQ  R12, DX \
+	IMULQ CX, DX \
+	SHLQ  $3, DX \
+	ADDQ  walker3_b(DI), DX
+
+// func walk3AVX2(w *walker3) int
+//
+// The fused order-3 walker. Register map:
+//   DI  w               SI  keys base        R9  vals base
+//   R8  x (next key)    CX  rank             R10/R11/R12  curT/curA/curB
+//   X1  pending value   Y0  pending value broadcast over a rank loop
+// The accumulator flag stays in w.accUsed: it is read once per run, and
+// Go reads it there when a run is handed back under locks.
+// AX, BX, DX, R13, R14, R15 and Y1-Y3 are scratch. Each rank loop runs
+// four lanes per step and a scalar tail. Every lane rounds a·b before
+// scaling or FMA-accumulating it, with the operand order of
+// vecMulAxpyAVX2 and vecAddAVX2, so results match the Go flush under
+// locks and the byte-table walker bit for bit.
+TEXT ·walk3AVX2(SB), NOSPLIT, $0-16
+	MOVQ w+0(FP), DI
+	MOVQ walker3_keys(DI), SI
+	MOVQ walker3_vals(DI), R9
+	MOVQ walker3_rank(DI), CX
+	MOVQ walker3_x(DI), R8
+
+	// Key x (x < len(keys)) starts the first run.
+	MOVQ  (SI)(R8*8), R15
+	PEXTQ walker3_mT(DI), R15, R10
+	CMPQ  R10, walker3_rowsT(DI)
+	JAE   w3_oob
+	PEXTQ walker3_mA(DI), R15, R11
+	PEXTQ walker3_mB(DI), R15, R12
+	CMPQ  R11, walker3_rowsA(DI)
+	JAE   w3_oob
+	CMPQ  R12, walker3_rowsB(DI)
+	JAE   w3_oob
+
+w3_pend:
+	// The key at x was adopted: its value becomes the pending value.
+	VMOVSD (R9)(R8*8), X1
+	INCQ  R8
+
+w3_next:
+	CMPQ  R8, (walker3_keys+8)(DI)
+	JAE   w3_end
+	MOVQ  (SI)(R8*8), R15
+	PEXTQ walker3_mT(DI), R15, R13
+	CMPQ  R13, R10
+	JNE   w3_row
+	PEXTQ walker3_mA(DI), R15, R14
+	PEXTQ walker3_mB(DI), R15, R15
+	CMPQ  R14, R11
+	JNE   w3_coord
+	CMPQ  R15, R12
+	JNE   w3_coord
+	// Duplicate key: merge into the pending value.
+	VADDSD (R9)(R8*8), X1, X1
+	INCQ  R8
+	JMP   w3_next
+
+w3_coord:
+	// Same row, new non-target coordinates: materialize the pending value
+	// into acc under the old rows, then adopt the new ones.
+	CMPQ  R14, walker3_rowsA(DI)
+	JAE   w3_oob
+	CMPQ  R15, walker3_rowsB(DI)
+	JAE   w3_oob
+	MOVQ  R11, AX
+	IMULQ CX, AX
+	SHLQ  $3, AX
+	ADDQ  walker3_a(DI), AX
+	MOVQ  R12, DX
+	IMULQ CX, DX
+	SHLQ  $3, DX
+	ADDQ  walker3_b(DI), DX
+	MOVQ  R14, R11
+	MOVQ  R15, R12
+	MOVQ  walker3_acc(DI), R14
+	VBROADCASTSD X1, Y0
+	MOVQ  CX, R15
+	ANDQ  $-4, R15
+	XORQ  R13, R13
+	CMPB  walker3_accUsed(DI), $0
+	JNE   w3_fma
+	MOVB  $1, walker3_accUsed(DI)
+
+	// acc = v·(a·b)
+	TESTQ R15, R15
+	JZ    w3_set1
+w3_set4:
+	VMOVUPD (AX)(R13*8), Y1
+	VMULPD  (DX)(R13*8), Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VMOVUPD Y1, (R14)(R13*8)
+	ADDQ  $4, R13
+	CMPQ  R13, R15
+	JB    w3_set4
+w3_set1:
+	CMPQ  R13, CX
+	JAE   w3_pend
+	VMOVSD (AX)(R13*8), X1
+	VMULSD (DX)(R13*8), X1, X1
+	VMULSD X0, X1, X1
+	VMOVSD X1, (R14)(R13*8)
+	INCQ  R13
+	JMP   w3_set1
+
+w3_row:
+	// Key x starts a new row, so the run ending at x-1 is complete. Under
+	// locks hand it back to Go; otherwise point AX/DX/R14 at its rows,
+	// adopt key x and flush the run into flat.
+	CMPQ  walker3_flat(DI), $0
+	JEQ   w3_run
+	CMPQ  R13, walker3_rowsT(DI)
+	JAE   w3_oob
+	CALC_ROWS
+	MOVQ  R13, R10
+	PEXTQ walker3_mA(DI), R15, R11
+	PEXTQ walker3_mB(DI), R15, R12
+	CMPQ  R11, walker3_rowsA(DI)
+	JAE   w3_oob
+	CMPQ  R12, walker3_rowsB(DI)
+	JAE   w3_oob
+	JMP   w3_flush
+
+w3_end:
+	// End of range: the last run is complete.
+	CMPQ  walker3_flat(DI), $0
+	JEQ   w3_run
+	CALC_ROWS
+
+w3_flush:
+	VBROADCASTSD X1, Y0
+	MOVQ  CX, R15
+	ANDQ  $-4, R15
+	XORQ  R13, R13
+	CMPB  walker3_accUsed(DI), $0
+	JNE   w3_flushacc
+
+	// target = fma(v, a·b, target); target is the flat row or acc. Both
+	// callers continue at w3_pend, which ends the walk at the range end.
+w3_fma:
+	TESTQ R15, R15
+	JZ    w3_fma1
+w3_fma4:
+	VMOVUPD (AX)(R13*8), Y1
+	VMULPD  (DX)(R13*8), Y1, Y1
+	VFMADD213PD (R14)(R13*8), Y0, Y1
+	VMOVUPD Y1, (R14)(R13*8)
+	ADDQ  $4, R13
+	CMPQ  R13, R15
+	JB    w3_fma4
+w3_fma1:
+	CMPQ  R13, CX
+	JAE   w3_flushed
+	VMOVSD (AX)(R13*8), X1
+	VMULSD (DX)(R13*8), X1, X1
+	VFMADD213SD (R14)(R13*8), X0, X1
+	VMOVSD X1, (R14)(R13*8)
+	INCQ  R13
+	JMP   w3_fma1
+
+	// target = fma(v, a·b, target + acc); acc = 0
+w3_flushacc:
+	MOVB  $0, walker3_accUsed(DI)
+	MOVQ  walker3_acc(DI), BX
+	VXORPD Y3, Y3, Y3
+	TESTQ R15, R15
+	JZ    w3_acc1
+w3_acc4:
+	VMOVUPD (R14)(R13*8), Y1
+	VADDPD  (BX)(R13*8), Y1, Y1
+	VMOVUPD (AX)(R13*8), Y2
+	VMULPD  (DX)(R13*8), Y2, Y2
+	VFMADD213PD Y1, Y0, Y2
+	VMOVUPD Y2, (R14)(R13*8)
+	VMOVUPD Y3, (BX)(R13*8)
+	ADDQ  $4, R13
+	CMPQ  R13, R15
+	JB    w3_acc4
+w3_acc1:
+	CMPQ  R13, CX
+	JAE   w3_flushed
+	VMOVSD (R14)(R13*8), X1
+	VADDSD (BX)(R13*8), X1, X1
+	VMOVSD (AX)(R13*8), X2
+	VMULSD (DX)(R13*8), X2, X2
+	VFMADD213SD X1, X0, X2
+	VMOVSD X2, (R14)(R13*8)
+	VMOVSD X3, (BX)(R13*8)
+	INCQ  R13
+	JMP   w3_acc1
+
+w3_flushed:
+	CMPQ  R8, (walker3_keys+8)(DI)
+	JB    w3_pend
+	VZEROUPPER
+	MOVQ  $0, ret+8(FP) // walkDone
+	RET
+
+w3_run:
+	MOVQ  R8, walker3_x(DI)
+	MOVQ  R10, walker3_curT(DI)
+	MOVQ  R11, walker3_curA(DI)
+	MOVQ  R12, walker3_curB(DI)
+	VMOVSD X1, walker3_vpend(DI)
+	VZEROUPPER
+	MOVQ  $1, ret+8(FP) // walkRun
+	RET
+
+w3_oob:
+	MOVQ  R8, walker3_x(DI)
+	VZEROUPPER
+	MOVQ  $2, ret+8(FP) // walkOutOfRange
 	RET
 
 // func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)

@@ -22,7 +22,6 @@ var (
 	vecAxpyMulSet  = vecAxpyMulSetCompose
 	vecScaleMulSet = vecScaleMulSetCompose
 	vecMulAxpy     = vecMulAxpyGeneric
-	vecMulScaleSet = vecMulScaleSetGeneric
 
 	cholSolveRows = cholSolveRowsGeneric
 

@@ -18,7 +18,6 @@ func syrkRowAVX2(part, row []float64)
 func vecAxpyMulSetAVX2(dst, h, x, y []float64, v float64)
 func vecScaleMulSetAVX2(dst, h, x, y []float64, v float64)
 func vecMulAxpyAVX2(dst, x, y []float64, v float64)
-func vecMulScaleSetAVX2(dst, x, y []float64, v float64)
 
 //go:noescape
 func cholSolve8AVX2(l, lt, x []float64)
@@ -68,7 +67,6 @@ func init() {
 	vecAxpyMulSet = vecAxpyMulSetAVX2
 	vecScaleMulSet = vecScaleMulSetAVX2
 	vecMulAxpy = vecMulAxpyAVX2
-	vecMulScaleSet = vecMulScaleSetAVX2
 	cholSolveRows = cholSolveRowsAVX2
 	kernelISA = "avx2+fma"
 }

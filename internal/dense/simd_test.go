@@ -18,20 +18,20 @@ import (
 func withGenericKernels(fn func()) {
 	sAxpy, sAdd, sMul, sMulAdd, sMulSet, sScaleSet, sDot, sSyrk :=
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow
-	sAxpyMS, sScaleMS, sMulAxpy, sMulSS :=
-		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet
+	sAxpyMS, sScaleMS, sMulAxpy :=
+		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy
 	sChol := cholSolveRows
 	vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 		vecAxpyGeneric, vecAddGeneric, vecMulGeneric, vecMulAddGeneric,
 		vecMulSetGeneric, vecScaleSetGeneric, vecDotGeneric, syrkRowGeneric
-	vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
-		vecAxpyMulSetCompose, vecScaleMulSetCompose, vecMulAxpyGeneric, vecMulScaleSetGeneric
+	vecAxpyMulSet, vecScaleMulSet, vecMulAxpy =
+		vecAxpyMulSetCompose, vecScaleMulSetCompose, vecMulAxpyGeneric
 	cholSolveRows = cholSolveRowsGeneric
 	defer func() {
 		vecAxpy, vecAdd, vecMul, vecMulAdd, vecMulSet, vecScaleSet, vecDot, syrkRow =
 			sAxpy, sAdd, sMul, sMulAdd, sMulSet, sScaleSet, sDot, sSyrk
-		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy, vecMulScaleSet =
-			sAxpyMS, sScaleMS, sMulAxpy, sMulSS
+		vecAxpyMulSet, vecScaleMulSet, vecMulAxpy =
+			sAxpyMS, sScaleMS, sMulAxpy
 		cholSolveRows = sChol
 	}()
 	fn()
@@ -95,7 +95,6 @@ func checkKernelParity(t *testing.T, dst, x, y []float64, a float64) {
 	check("VecMulSet", func(d []float64) { vecMulSet(d, x, y) }, func(d []float64) { vecMulSetGeneric(d, x, y) })
 	check("VecScaleSet", func(d []float64) { vecScaleSet(d, x, a) }, func(d []float64) { vecScaleSetGeneric(d, x, a) })
 	check("VecMulAxpy", func(d []float64) { vecMulAxpy(d, x, y, a) }, func(d []float64) { vecMulAxpyGeneric(d, x, y, a) })
-	check("VecMulScaleSet", func(d []float64) { vecMulScaleSet(d, x, y, a) }, func(d []float64) { vecMulScaleSetGeneric(d, x, y, a) })
 
 	// The fused scale-accumulate kernels mutate both dst and the Hadamard
 	// buffer h, so they get a two-output variant of the check.

@@ -49,9 +49,6 @@ func VecScaleMulSet(dst, h, x, y []float64, v float64) { vecScaleMulSet(dst, h, 
 // identical to a VecMulSet-into-scratch followed by VecAxpy.
 func VecMulAxpy(dst, x, y []float64, v float64) { vecMulAxpy(dst, x, y, v) }
 
-// VecMulScaleSet is VecMulAxpy's overwriting form: dst[i] = v * (x[i]*y[i]).
-func VecMulScaleSet(dst, x, y []float64, v float64) { vecMulScaleSet(dst, x, y, v) }
-
 // VecDot returns Σ x[i]*y[i] over the first len(x) elements (len(y) must
 // be at least len(x)). Independent accumulation chains keep the
 // multiply-add latency off the critical path — this is the inner product of
@@ -173,14 +170,6 @@ func vecMulAxpyGeneric(dst, x, y []float64, v float64) {
 	for i := 0; i < n; i++ {
 		m := x[i] * y[i]
 		dst[i] += v * m
-	}
-}
-
-func vecMulScaleSetGeneric(dst, x, y []float64, v float64) {
-	n := len(dst)
-	for i := 0; i < n; i++ {
-		m := x[i] * y[i]
-		dst[i] = v * m
 	}
 }
 

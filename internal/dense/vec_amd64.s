@@ -548,55 +548,6 @@ mxp_done:
 	VZEROUPPER
 	RET
 
-// func vecMulScaleSetAVX2(dst, x, y []float64, v float64)
-// dst[i] = v * (x[i]*y[i]), product rounded first (see vecMulAxpyAVX2).
-TEXT ·vecMulScaleSetAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	MOVQ y_base+48(FP), R8
-	VBROADCASTSD v+72(FP), Y0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JE   mss_tail4
-mss_loop8:
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD 32(SI)(AX*8), Y2
-	VMULPD (R8)(AX*8), Y1, Y1
-	VMULPD 32(R8)(AX*8), Y2, Y2
-	VMULPD Y0, Y1, Y1
-	VMULPD Y0, Y2, Y2
-	VMOVUPD Y1, (DI)(AX*8)
-	VMOVUPD Y2, 32(DI)(AX*8)
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JL   mss_loop8
-mss_tail4:
-	MOVQ CX, DX
-	ANDQ $-4, DX
-	CMPQ AX, DX
-	JGE  mss_tail1
-	VMOVUPD (SI)(AX*8), Y1
-	VMULPD (R8)(AX*8), Y1, Y1
-	VMULPD Y0, Y1, Y1
-	VMOVUPD Y1, (DI)(AX*8)
-	ADDQ $4, AX
-mss_tail1:
-	CMPQ AX, CX
-	JGE  mss_done
-mss_s1:
-	VMOVSD (SI)(AX*8), X1
-	VMULSD (R8)(AX*8), X1, X1
-	VMULSD X0, X1, X1
-	VMOVSD X1, (DI)(AX*8)
-	INCQ AX
-	CMPQ AX, CX
-	JL   mss_s1
-mss_done:
-	VZEROUPPER
-	RET
-
 // func cholSolve8AVX2(l, lt, x []float64)
 //
 // Solves (L·Lᵀ)·x = b for eight right-hand sides at once, in place. x is

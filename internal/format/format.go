@@ -156,8 +156,8 @@ var nativeExtract = alto.NativeExtract
 //     representation replaces the multi-CSF set's per-root copies.
 //  3. Order 3, encoding fits one 64-bit word, and the CPU has native
 //     bit-extraction (BMI2 pdep/pext — see alto.NativeExtract) → ALTO:
-//     with the pext tile walker and the fused scaled-Hadamard flush
-//     kernels, linearized MTTKRP matches or beats the CSF fiber tree on
+//     with the fused pext walker (extraction and the scaled-Hadamard
+//     flush in one loop), linearized MTTKRP matches or beats the CSF fiber tree on
 //     both the regular and hub-skewed twins (re-measured at 0.92x–0.98x of
 //     CSF wall time), and the single representation halves memory against
 //     the multi-CSF set.
@@ -182,7 +182,7 @@ func Choose(t *sptensor.Tensor) (Spec, string) {
 		return CSF, fmt.Sprintf("csf: %d-bit linearized index needs two words", enc.TotalBits)
 	}
 	if nativeExtract() {
-		return ALTO, fmt.Sprintf("alto: native bit-extraction (%d-bit keys, pext tile walker) at CSF parity, half the memory", enc.TotalBits)
+		return ALTO, fmt.Sprintf("alto: native bit-extraction (%d-bit keys, fused pext walker) at CSF parity, half the memory", enc.TotalBits)
 	}
 	longest := 0
 	for m, d := range t.Dims {

@@ -65,16 +65,16 @@ type Operator struct {
 func NewOperator(set *csf.Set, team *parallel.Team, rank int, opts Options) *Operator {
 	o := &Operator{set: set, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	maxDim := 0
-	for _, c := range set.CSFs {
-		for _, d := range c.Dims {
-			if d > maxDim {
-				maxDim = d
-			}
+	// Privatization buffers are sized for the modes that privatize only.
+	privSize := 0
+	for m := range set.Assign {
+		if o.StrategyFor(m) == StrategyPrivatize {
+			c, _ := set.For(m)
+			privSize = max(privSize, c.Dims[m]*rank)
 		}
 	}
 	tasks := o.tasks()
-	o.priv = parallel.NewScratch(tasks, maxDim*rank)
+	o.priv = parallel.NewScratch(tasks, privSize)
 	o.bounds = make([][]int, len(set.CSFs))
 	for i, c := range set.CSFs {
 		o.bounds[i] = parallel.PartitionByWeight(c.SliceWeights(), tasks)

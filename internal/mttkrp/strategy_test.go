@@ -108,3 +108,32 @@ func TestStrategyTileFallbackBeyondOrder3(t *testing.T) {
 		t.Error("3rd-order tensor never offered the tile schedule")
 	}
 }
+
+// TestPrivScratchSizedByStrategy pins the privatization buffers to the
+// modes that privatize: none without a privatized mode, and the one
+// privatized mode's rows otherwise (not the longest mode's).
+func TestPrivScratchSizedByStrategy(t *testing.T) {
+	const rank = 4
+	dims := []int{100, 300, 5000}
+	tt := sptensor.Random(dims, 1000, 9)
+	team := parallel.NewTeam(2)
+	defer team.Close()
+	set := csf.NewSet(tt, csf.AllocOne, team, tsort.AllOpt)
+
+	lock := NewOperator(set, team, rank, Options{Strategy: StrategyLock})
+	if n := len(lock.priv.Buf(0)); n != 0 {
+		t.Errorf("lock-only operator holds a %d-element privatization buffer", n)
+	}
+
+	auto := NewOperator(set, team, rank, Options{PrivRatio: 1})
+	for m, want := range []ConflictStrategy{StrategyNone, StrategyPrivatize, StrategyLock} {
+		if got := auto.StrategyFor(m); got != want {
+			t.Fatalf("mode %d resolves to %v, want %v", m, got, want)
+		}
+	}
+	for tid := 0; tid < team.N(); tid++ {
+		if n := len(auto.priv.Buf(tid)); n != dims[1]*rank {
+			t.Errorf("task %d privatization buffer %d, want %d", tid, n, dims[1]*rank)
+		}
+	}
+}
