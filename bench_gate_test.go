@@ -205,3 +205,63 @@ func TestBenchCompareAveragesRepeatedRuns(t *testing.T) {
 		t.Fatalf("averaged run failed: %v\n%s", err, out)
 	}
 }
+
+// cpuRow is a row as go test prints it at GOMAXPROCS procs: no name
+// suffix at 1, "-procs" otherwise.
+func cpuRow(name string, procs, nsop int) string {
+	if procs != 1 {
+		name += "-" + itoa(procs)
+	}
+	return name + "   \t       1\t" + itoa(nsop) + " ns/op\n"
+}
+
+func TestBenchCompareMatchesNamesAcrossSuffixes(t *testing.T) {
+	// A GOMAXPROCS=1 record carries no suffix, so a name ending in "-2"
+	// is part of the name and must not be stripped; a record where every
+	// name ends in the same "-N" ran at GOMAXPROCS N and matches by the
+	// bare name.
+	names := []string{"BenchmarkA", "BenchmarkTable1/NELL-2"}
+	for _, procs := range []int{1, 2} {
+		var base, cur string
+		for _, n := range names {
+			base += cpuRow(n, procs, 1_000_000)
+			cur += cpuRow(n, procs, 1_010_000)
+		}
+		out, err := runCompare(t, benchHeader+base, benchHeader+cur)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: same-cohort run failed: %v\n%s", procs, err, out)
+		}
+		if strings.Contains(out, "MISSING") {
+			t.Errorf("GOMAXPROCS=%d: names did not match:\n%s", procs, out)
+		}
+	}
+	// The suffix is stripped before matching, so a regression still shows
+	// under the bare name.
+	out, err := runCompare(t, benchHeader+cpuRow("BenchmarkA", 2, 1_000_000),
+		benchHeader+cpuRow("BenchmarkA", 2, 2_000_000))
+	if err == nil || !strings.Contains(out, "REGRESSION BenchmarkA ") {
+		t.Errorf("suffixed regression not reported under the bare name (err %v):\n%s", err, out)
+	}
+}
+
+func TestBenchCompareFailsAcrossGOMAXPROCS(t *testing.T) {
+	// A baseline pinned at GOMAXPROCS=1 against a run at GOMAXPROCS=2:
+	// one named cross-cohort failure, not a MISSING row per benchmark.
+	names := []string{"BenchmarkA", "BenchmarkB/tasks=1", "BenchmarkTable1/NELL-2"}
+	var base, cur string
+	for _, n := range names {
+		base += cpuRow(n, 1, 1_000_000)
+		cur += cpuRow(n, 2, 1_000_000)
+	}
+	out, err := runCompare(t, benchHeader+base, benchHeader+cur)
+	if err == nil {
+		t.Fatalf("cross-cohort pair passed the gate:\n%s", out)
+	}
+	if !strings.Contains(out, "CROSS-COHORT") || !strings.Contains(out, "GOMAXPROCS=1") ||
+		!strings.Contains(out, "GOMAXPROCS=2") {
+		t.Errorf("cross-cohort failure not named:\n%s", out)
+	}
+	if strings.Contains(out, "MISSING") {
+		t.Errorf("cross-cohort pair reported MISSING rows:\n%s", out)
+	}
+}

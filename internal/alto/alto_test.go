@@ -262,18 +262,30 @@ func TestReuseStatsDriveDecision(t *testing.T) {
 			at.Runs(2), at.Runs(0))
 	}
 
-	team := parallel.NewTeam(4)
+	// The rule charges locking per fiber run, not per nonzero: mode 0's 64
+	// nonzeros form one run, so it takes the lock once where an nnz-driven
+	// rule would charge 64 acquisitions. Every mode follows
+	// R·Σ_t|I_t(m)|·privElemCost ≤ runs(m)·lockRunCost.
+	const tasks, rank = 4, 2
+	team := parallel.NewTeam(tasks)
 	defer team.Close()
-	op := NewOperator(at, team, 2, mttkrp.Options{LockKind: locks.Spin})
-	// Mode 0: 1 run, so runs/privRatio = 0 < dims*tasks → locks win under
-	// the reuse-driven rule even though nnz/privRatio would also be small.
-	if got := op.StrategyFor(0); got != mttkrp.StrategyLock {
-		t.Errorf("high-reuse mode chose %v, want lock", got)
+	op := NewOperator(at, team, rank, mttkrp.Options{LockKind: locks.Spin})
+	spans := refSpans(at, tasks)
+	for m := range tt.Dims {
+		span := 0
+		for tid := range spans {
+			span += spans[tid][m].n
+		}
+		want := mttkrp.StrategyLock
+		if float64(rank*span)*privElemCost <= float64(at.Runs(m))*lockRunCost {
+			want = mttkrp.StrategyPrivatize
+		}
+		if got := op.StrategyFor(m); got != want {
+			t.Errorf("mode %d (Σ|I| %d, runs %d) chose %v, want %v", m, span, at.Runs(m), got, want)
+		}
 	}
-	// Mode 2 varies fastest (runs ≈ nnz): the rule degenerates to SPLATT's,
-	// and 64 rows × 4 tasks ≫ 64 runs / 50 → locks there too; a serial
-	// operator always reports StrategyNone.
-	serial := NewOperator(at, nil, 2, mttkrp.Options{})
+	// A serial operator always reports StrategyNone.
+	serial := NewOperator(at, nil, rank, mttkrp.Options{})
 	if got := serial.StrategyFor(0); got != mttkrp.StrategyNone {
 		t.Errorf("serial operator chose %v, want none", got)
 	}

@@ -28,9 +28,11 @@ import (
 // fiber-product reuse. Run accumulation is lazy (a single-nonzero run
 // flushes with one fused multiply-add), and the accumulator flushes only
 // when the output-mode index changes, so lock traffic scales with the
-// mode's fiber-run count, not with nnz. On hosts with BMI2 and AVX2+FMA the
+// mode's fiber-run count, not with nnz. A task's contiguous key range
+// touches only an interval of each mode's indices, so its privatization
+// buffer covers that interval alone. On hosts with BMI2 and AVX2+FMA the
 // order-3 narrow path runs the same walk as one assembly loop per task
-// (runRange3Native).
+// (runRange3Native) under the lock-free strategies.
 type Operator struct {
 	t    *Tensor
 	team *parallel.Team
@@ -38,22 +40,35 @@ type Operator struct {
 	rank int
 
 	pool   locks.Pool
-	priv   *parallel.Scratch
 	bounds []int // contiguous nonzero ranges, len tasks+1
+
+	// spans[tid*order+m] is the index interval task tid's key range
+	// touches in mode m (empty for an empty range; nil at one task).
+	spans      []interval
+	strategies []mttkrp.ConflictStrategy // per mode, fixed at construction
+	// priv[tid] is task tid's privatization buffer: the widest of its
+	// intervals over the privatized modes, times rank, indexed by
+	// (row - interval start)·rank.
+	priv [][]float64
 
 	kernels []taskKernel // per-task walker workspaces
 	faults  []any        // per-task panic raised by the last Apply
 
-	// Staged operands of the in-flight Apply; runBody is built once so no
-	// closure is materialized per call.
+	// Staged operands of the in-flight Apply; runBody and reduceBody are
+	// built once so no closure is materialized per call.
 	curMode     int
 	curFactors  []*dense.Matrix
 	curOut      *dense.Matrix
 	curStrategy mttkrp.ConflictStrategy
 	runBody     func(tid int)
+	reduceBody  func(tid int)
 
 	lastStrategy mttkrp.ConflictStrategy
 }
+
+// interval is the index range [lo, lo+n) of one mode that one task's key
+// range touches.
+type interval struct{ lo, n int }
 
 // taskKernel is one task's persistent kernel workspace.
 type taskKernel struct {
@@ -69,15 +84,7 @@ type taskKernel struct {
 func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) *Operator {
 	o := &Operator{t: t, team: team, opts: opts, rank: rank}
 	o.pool = locks.NewPool(opts.LockKind, opts.PoolSize)
-	// Privatization buffers are sized for the modes that privatize only.
-	privSize := 0
-	for m, d := range t.Enc.Dims {
-		if o.StrategyFor(m) == mttkrp.StrategyPrivatize {
-			privSize = max(privSize, d*rank)
-		}
-	}
 	tasks := o.tasks()
-	o.priv = parallel.NewScratch(tasks, privSize)
 	o.bounds = make([]int, tasks+1)
 	for tid := 0; tid < tasks; tid++ {
 		begin, _ := parallel.Partition(t.NNZ(), tasks, tid)
@@ -85,11 +92,32 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 	}
 	o.bounds[tasks] = t.NNZ()
 
+	order := t.Order()
+	if tasks > 1 {
+		o.spans = make([]interval, tasks*order)
+		team.Run(o.measureSpans)
+	}
+	o.strategies = make([]mttkrp.ConflictStrategy, order)
+	for m := range o.strategies {
+		o.strategies[m] = o.decide(m)
+	}
+	// Privatization buffers cover each task's intervals in the modes that
+	// privatize only.
+	o.priv = make([][]float64, tasks)
+	for tid := range o.priv {
+		n := 0
+		for m, s := range o.strategies {
+			if s == mttkrp.StrategyPrivatize {
+				n = max(n, o.spans[tid*order+m].n)
+			}
+		}
+		o.priv[tid] = make([]float64, n*rank)
+	}
+
 	arena := opts.Arena
 	if arena == nil || arena.Tasks() < tasks {
 		arena = parallel.NewArena(tasks)
 	}
-	order := t.Order()
 	native3 := order == 3 && t.Hi == nil && t.Enc.native && nativeWalk3
 	o.kernels = make([]taskKernel, tasks)
 	o.faults = make([]any, tasks)
@@ -106,8 +134,12 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 		if begin >= end {
 			return
 		}
+		if o.curStrategy == mttkrp.StrategyPrivatize {
+			buf, _ := o.privBuf(tid)
+			clear(buf)
+		}
 		switch {
-		case native3:
+		case native3 && o.curStrategy != mttkrp.StrategyLock:
 			o.runRange3Native(tid, begin, end)
 		case order == 3 && o.t.Hi == nil:
 			o.runRange3(tid, begin, end)
@@ -115,7 +147,51 @@ func NewOperator(t *Tensor, team *parallel.Team, rank int, opts mttkrp.Options) 
 			o.runRange(tid, begin, end)
 		}
 	}
+	o.reduceBody = o.reduce
 	return o
+}
+
+// measureSpans records, for task tid's key range, the index interval each
+// mode touches, clamped to the mode's length: a corrupt key can widen an
+// interval to at most the whole mode, and the walkers still reject its
+// out-of-range index when Apply runs. Extraction preserves order (mode m's
+// index orders like the key's bits under m's masks, high word first), so
+// the pass takes the masked minimum and maximum and extracts only those.
+func (o *Operator) measureSpans(tid int) {
+	begin, end := o.bounds[tid], o.bounds[tid+1]
+	if begin >= end {
+		return
+	}
+	enc := o.t.Enc
+	lo := o.t.Lo[begin:end]
+	spans := o.spans[tid*len(enc.Dims) : (tid+1)*len(enc.Dims)]
+	for m, d := range enc.Dims {
+		mLo, mHi := enc.pextMasks[3*m], enc.pextMasks[3*m+1]
+		minLo, maxLo := ^uint64(0), uint64(0)
+		var minHi, maxHi uint64
+		if o.t.Hi == nil {
+			for _, k := range lo {
+				minLo, maxLo = min(minLo, k&mLo), max(maxLo, k&mLo)
+			}
+		} else {
+			minHi = ^uint64(0)
+			for x, kh := range o.t.Hi[begin:end] {
+				h, l := kh&mHi, lo[x]&mLo
+				if h < minHi || h == minHi && l < minLo {
+					minHi, minLo = h, l
+				}
+				if h > maxHi || h == maxHi && l > maxLo {
+					maxHi, maxLo = h, l
+				}
+			}
+		}
+		// Indices are read unsigned, so a corrupt one past the int32 range
+		// clamps like any other instead of turning negative.
+		top := uint64(d - 1)
+		first := min(uint64(uint32(enc.Extract(minLo, minHi, m))), top)
+		last := min(uint64(uint32(enc.Extract(maxLo, maxHi, m))), top)
+		spans[m] = interval{lo: int(first), n: int(last-first) + 1}
+	}
 }
 
 // catch records a panic raised by task tid (an out-of-range index in a
@@ -137,15 +213,32 @@ func (o *Operator) tasks() int {
 // LastStrategy reports the conflict strategy used by the most recent Apply.
 func (o *Operator) LastStrategy() mttkrp.ConflictStrategy { return o.lastStrategy }
 
+// Measured costs the ALTO conflict rule trades, in nanoseconds of total
+// (all-task) work; see EXPERIMENTS.md, "ALTO conflict rule:
+// interval-bounded privatization", for the fit.
+const (
+	// privElemCost is privatization's cost per element of a task's
+	// interval buffer: zeroing it before the walk and adding it into the
+	// output after. Fitted where the buffers outgrow the caches, the only
+	// regime in which the rule is close.
+	privElemCost = 4.0
+	// lockRunCost is locking's cost per fiber run: one acquire/release of
+	// the mutex pool around the run's flush. It is fitted with both
+	// strategies on the byte-table walker; where the fused walker runs, a
+	// locked mode also gives it up, which only widens the margin.
+	lockRunCost = 30.0
+)
+
 // StrategyFor reports the conflict strategy Apply would use for a mode.
-//
-// The automatic decision adapts SPLATT's lock-vs-privatize rule to the
-// linearized layout: because row flushes happen once per fiber run, the
-// rule compares the privatization-reduction cost I_m × tasks against
-// runs(m) / privRatio — the *run* count, not nnz. A mode with high fiber
-// reuse (runs ≪ nnz) therefore leans toward locks, which it acquires
-// rarely, instead of paying the dense O(I_m × tasks) reduction.
-func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
+func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy { return o.strategies[mode] }
+
+// decide picks mode's conflict strategy. The automatic rule charges each
+// strategy only for the work the other does not do: privatization zeroes
+// and reduces R·Σ_t |I_t(m)| elements, where I_t(m) is the index interval
+// task t's key range touches, and locking takes the pool lock once per
+// fiber run (flushes happen per run, not per nonzero). Both pay the flush
+// itself. Privatize iff R·Σ_t|I_t(m)|·privElemCost ≤ runs(m)·lockRunCost.
+func (o *Operator) decide(mode int) mttkrp.ConflictStrategy {
 	if o.tasks() == 1 {
 		return mttkrp.StrategyNone
 	}
@@ -157,7 +250,24 @@ func (o *Operator) StrategyFor(mode int) mttkrp.ConflictStrategy {
 		// tiles, so fall back to the mutex pool (as CSF does for order > 3).
 		return mttkrp.StrategyLock
 	}
-	return mttkrp.Decide(o.t.Enc.Dims[mode], int(o.t.Runs(mode)), o.tasks(), o.opts.PrivRatio)
+	order := o.t.Order()
+	span := 0
+	for tid := 0; tid < o.tasks(); tid++ {
+		span += o.spans[tid*order+mode].n
+	}
+	if float64(o.rank)*float64(span)*privElemCost <= float64(o.t.Runs(mode))*lockRunCost {
+		return mttkrp.StrategyPrivatize
+	}
+	return mttkrp.StrategyLock
+}
+
+// privBuf returns task tid's privatization buffer for the current mode,
+// one rank-wide row per index of the task's interval, and the interval's
+// first index, which the buffer's row 0 holds.
+func (o *Operator) privBuf(tid int) (buf []float64, lo int) {
+	iv := o.spans[tid*o.t.Order()+o.curMode]
+	n := iv.n * o.rank
+	return o.priv[tid][:n:n], iv.lo
 }
 
 // Apply computes out = MTTKRP(tensor, factors, mode). out must be
@@ -172,31 +282,53 @@ func (o *Operator) Apply(mode int, factors []*dense.Matrix, out *dense.Matrix) {
 	strategy := o.StrategyFor(mode)
 	o.lastStrategy = strategy
 
-	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.Zero(dims[mode] * o.rank)
-	}
 	o.curMode, o.curFactors, o.curOut, o.curStrategy = mode, factors, out, strategy
-	if o.team == nil || o.team.N() == 1 {
-		o.runBody(0)
-	} else {
-		o.team.Run(o.runBody)
-	}
-	o.curFactors, o.curOut = nil, nil
+	o.run(o.runBody)
 	for _, r := range o.faults {
 		if r != nil {
 			clear(o.faults)
+			o.curFactors, o.curOut = nil, nil
 			panic(r)
 		}
 	}
 	if strategy == mttkrp.StrategyPrivatize {
-		o.priv.ReduceInto(o.team, out.Data, dims[mode]*o.rank)
+		o.run(o.reduceBody)
+	}
+	o.curFactors, o.curOut = nil, nil
+}
+
+// run executes body once per task, on the team when there is one.
+func (o *Operator) run(body func(tid int)) {
+	if o.team == nil || o.team.N() == 1 {
+		body(0)
+	} else {
+		o.team.Run(body)
+	}
+}
+
+// reduce adds the task buffers into the zeroed output over output rows
+// split across the team: for each task in tid order, its buffer over the
+// overlap of its interval with this task's rows. Rows outside a task's
+// interval hold +0 in a full-length buffer, and adding +0 to a sum that
+// starts at +0 changes no bit, so every output element sees the same
+// additions in the same order as a reduce over full-length buffers.
+func (o *Operator) reduce(tid int) {
+	rank, order := o.rank, o.t.Order()
+	begin, end := parallel.Partition(o.curOut.Rows, o.tasks(), tid)
+	out := o.curOut.Data
+	for t, buf := range o.priv {
+		iv := o.spans[t*order+o.curMode]
+		lo, hi := max(begin, iv.lo), min(end, iv.lo+iv.n)
+		if lo < hi {
+			dense.VecAdd(out[lo*rank:hi*rank], buf[(lo-iv.lo)*rank:(hi-iv.lo)*rank])
+		}
 	}
 }
 
 // flush commits the accumulated output row under the conflict strategy and
 // clears the accumulator.
 func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc []float64) {
+	privBuf []float64, privLo int, row sptensor.Index, acc []float64) {
 
 	id := int(row)
 	switch strategy {
@@ -206,7 +338,8 @@ func (o *Operator) flush(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
 		dense.VecAdd(target, acc)
 		o.pool.Unlock(id)
 	case mttkrp.StrategyPrivatize:
-		dense.VecAdd(privBuf[id*o.rank:id*o.rank+o.rank], acc)
+		off := (id - privLo) * o.rank
+		dense.VecAdd(privBuf[off:off+o.rank], acc)
 	default: // StrategyNone: single task, direct writes
 		dense.VecAdd(out.Row(id), acc)
 	}
@@ -238,9 +371,9 @@ func (o *Operator) runRange(tid, begin, end int) {
 	}
 
 	var privBuf []float64
+	privLo := 0
 	if strategy == mttkrp.StrategyPrivatize {
-		n := o.t.Enc.Dims[mode] * o.rank
-		privBuf = o.priv.Buf(tid)[:n:n]
+		privBuf, privLo = o.privBuf(tid)
 	}
 
 	prevLo := lo[begin]
@@ -262,7 +395,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		mask := enc.Step(prevLo, prevHi, curLo, curHi, cur)
 		prevLo, prevHi = curLo, curHi
 		if row := sptensor.Index(cur[mode]); row != curRow {
-			o.flush(strategy, out, privBuf, curRow, acc)
+			o.flush(strategy, out, privBuf, privLo, curRow, acc)
 			curRow = row
 		}
 		if mask&otherMask != 0 {
@@ -270,7 +403,7 @@ func (o *Operator) runRange(tid, begin, end int) {
 		}
 		dense.VecAxpy(acc, hprod, vals[x])
 	}
-	o.flush(strategy, out, privBuf, curRow, acc)
+	o.flush(strategy, out, privBuf, privLo, curRow, acc)
 }
 
 // runRange3 is the 3rd-order narrow-encoding specialization of runRange:
@@ -292,9 +425,9 @@ func (o *Operator) runRange3(tid, begin, end int) {
 	fa, fb := factors[ma], factors[mb]
 
 	var privBuf []float64
+	privLo := 0
 	if strategy == mttkrp.StrategyPrivatize {
-		n := o.t.Enc.Dims[mode] * o.rank
-		privBuf = o.priv.Buf(tid)[:n:n]
+		privBuf, privLo = o.privBuf(tid)
 	}
 
 	prevLo := lo[begin]
@@ -347,7 +480,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 		}
 		prevLo = curLo
 		if rowChanged {
-			o.flushRun(strategy, out, privBuf, curRow, acc, hprod, vpend, pendValid, accUsed)
+			o.flushRun(strategy, out, privBuf, privLo, curRow, acc, hprod, vpend, pendValid, accUsed)
 			curRow = sptensor.Index(curT)
 			pendValid, accUsed = false, false
 		}
@@ -373,7 +506,7 @@ func (o *Operator) runRange3(tid, begin, end int) {
 			pendValid = true
 		}
 	}
-	o.flushRun(strategy, out, privBuf, curRow, acc, hprod, vpend, pendValid, accUsed)
+	o.flushRun(strategy, out, privBuf, privLo, curRow, acc, hprod, vpend, pendValid, accUsed)
 }
 
 // walker3 is one task's operands and run state for the fused order-3
@@ -382,45 +515,44 @@ type walker3 struct {
 	keys       []uint64  // Lo up to the range end: the walk stops at len(keys)
 	vals       []float64 // Vals up to the range end
 	a, b       []float64 // non-target factor rows, rank-strided
-	flat       []float64 // lock-free flush target (rowsT rows); nil under locks
+	flat       []float64 // flush target: rowsT rank-wide rows from row base
 	acc        []float64 // run accumulator (rank)
 	mT, mA, mB uint64    // pext masks of the target and non-target modes
-	// Row bounds every adopted index is checked against.
+	// Every adopted index is checked against its bounds: the target index
+	// must lie in [base, base+rowsT), the others below rowsA and rowsB.
+	base                uint64
 	rowsT, rowsA, rowsB uint64
 	rank                int
+	// flatBase is the address row 0 of the target mode would have in flat,
+	// set by the walker on entry; it is only ever offset by a checked
+	// index, and flat keeps the buffer alive.
+	flatBase uintptr
 
-	// Run state: x is the next key to adopt; when the walker returns a
-	// finished run, cur* are its last coordinates and vpend its pending value.
-	x                int
-	curT, curA, curB uint64
-	vpend            float64
-	accUsed          bool
+	x       int  // next key to adopt; the offending key after walkOutOfRange
+	accUsed bool // acc holds a materialized part of the current run
 }
 
 // Results of walk3AVX2.
 const (
 	walkDone       = iota // range walked, every run flushed
-	walkRun               // a finished run awaits a locked flush (flat == nil)
-	walkOutOfRange        // key x holds an index outside its mode
+	walkOutOfRange        // key x holds an index outside its bounds
 )
 
 // runRange3Native drives the fused AVX2+BMI2 walker (walk3AVX2) over one
-// task's range. The walker reads the sorted keys directly, extracts each
-// mode's index with one pext, and runs the lazy-run accumulation of
-// runRange3 with the rank loop in YMM registers, in the same operation
-// sequence: duplicate keys add into the pending value; a same-row
-// coordinate change materializes it into acc as v·round(a·b), then as an
-// FMA; a row change adds acc into the target row and then applies
-// fma(v, round(a·b), target). The Hadamard product rounds before the FMA
-// because the portable walker materializes it into hprod first, so both
-// walkers agree bit for bit. Lock-free strategies flush inside the
-// walker; under locks it returns each finished run, which is flushed here
-// inside the pool lock.
+// task's range under a lock-free strategy. The walker reads the sorted
+// keys directly, extracts each mode's index with one pext, and runs the
+// lazy-run accumulation of runRange3 with the rank loop in YMM registers,
+// in the same operation sequence: duplicate keys add into the pending
+// value; a same-row coordinate change materializes it into acc as
+// v·round(a·b), then as an FMA; a row change adds acc into the target row
+// and then applies fma(v, round(a·b), target). The Hadamard product rounds
+// before the FMA because the portable walker materializes it into hprod
+// first, so both walkers agree bit for bit. Under privatization the target
+// is the task's interval buffer, based at the interval start.
 func (o *Operator) runRange3Native(tid, begin, end int) {
 	enc, mode, rank := o.t.Enc, o.curMode, o.rank
 	ma, mb := otherModes3(mode)
 	fa, fb := o.curFactors[ma], o.curFactors[mb]
-	dimT := enc.Dims[mode]
 	k := &o.kernels[tid]
 	w := &k.walk
 	*w = walker3{
@@ -429,58 +561,33 @@ func (o *Operator) runRange3Native(tid, begin, end int) {
 		acc: k.acc[:rank],
 		// Narrow encoding: the low-word pext masks extract whole indices.
 		mT: enc.pextMasks[3*mode], mA: enc.pextMasks[3*ma], mB: enc.pextMasks[3*mb],
-		rowsT: uint64(dimT), rowsA: uint64(fa.Rows), rowsB: uint64(fb.Rows),
+		rowsA: uint64(fa.Rows), rowsB: uint64(fb.Rows),
 		rank: rank, x: begin,
 	}
-	switch o.curStrategy {
-	case mttkrp.StrategyPrivatize:
-		w.flat = o.priv.Buf(tid)[:dimT*rank]
-	case mttkrp.StrategyNone:
-		w.flat = o.curOut.Data[:dimT*rank]
+	if o.curStrategy == mttkrp.StrategyPrivatize {
+		buf, lo := o.privBuf(tid)
+		w.flat, w.base, w.rowsT = buf, uint64(lo), uint64(o.spans[tid*3+mode].n)
+	} else {
+		dimT := enc.Dims[mode]
+		w.flat, w.rowsT = o.curOut.Data[:dimT*rank], uint64(dimT)
 	}
-	for {
-		switch walk3AVX2(w) {
-		case walkDone:
-			return
-		case walkOutOfRange:
-			panic(fmt.Sprintf("alto: nonzero %d has an index out of range", w.x))
-		}
-		o.flushRunRows(w.curT, w.acc, fa.Row(int(w.curA)), fb.Row(int(w.curB)), w.vpend, w.accUsed)
-		if w.x == end {
-			return
-		}
-		w.accUsed = false
-	}
-}
-
-// flushRunRows flushes one run the native walker handed back under the
-// lock strategy: the materialized accumulator (if any), then the pending
-// value straight from the factor rows via the fused scaled-Hadamard kernel.
-func (o *Operator) flushRunRows(row uint64, acc, ra, rb []float64, vpend float64, accUsed bool) {
-	id := int(row)
-	target := o.curOut.Row(id)
-	o.pool.Lock(id)
-	if accUsed {
-		dense.VecAdd(target, acc)
-	}
-	dense.VecMulAxpy(target, ra, rb, vpend)
-	o.pool.Unlock(id)
-	if accUsed {
-		dense.VecZero(acc)
+	if walk3AVX2(w) == walkOutOfRange {
+		panic(fmt.Sprintf("alto: nonzero %d has an index out of range", w.x))
 	}
 }
 
 // flushRun commits one output row's run: the materialized accumulator (if
 // any) plus the pending value under the current Hadamard product.
 func (o *Operator) flushRun(strategy mttkrp.ConflictStrategy, out *dense.Matrix,
-	privBuf []float64, row sptensor.Index, acc, hprod []float64, vpend float64,
+	privBuf []float64, privLo int, row sptensor.Index, acc, hprod []float64, vpend float64,
 	pendValid, accUsed bool) {
 
 	id := int(row)
 	var target []float64
 	switch strategy {
 	case mttkrp.StrategyPrivatize:
-		target = privBuf[id*o.rank : id*o.rank+o.rank]
+		off := (id - privLo) * o.rank
+		target = privBuf[off : off+o.rank]
 	default:
 		target = out.Row(id)
 	}

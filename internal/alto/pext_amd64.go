@@ -22,7 +22,7 @@ func pextAll(lo, hi uint64, masks []uint64, cur []uint64) uint32
 var nativeWalk3 = cpu.HasBMI2 && cpu.HasAVX2 && cpu.HasFMA
 
 // walk3AVX2 walks w.keys from w.x with the fused order-3 walker (see
-// runRange3Native) and reports one of walkDone, walkRun or walkOutOfRange.
+// runRange3Native) and reports walkDone or walkOutOfRange.
 // Implemented in pext_amd64.s.
 //
 //go:noescape

@@ -49,13 +49,15 @@ pa_done:
 	MOVL R15, ret+64(FP)
 	RET
 
-// CALC_ROWS points R14, AX and DX at the flat row curT and the factor
-// rows curA and curB of the current run.
+// CALC_ROWS points R14, AX and DX at the flat row curT - base and the
+// factor rows curA and curB of the current run. The target address is
+// curT·rank·8 + flatBase, where flatBase = flat - base·rank·8 is set on
+// entry, so the interval base costs nothing per run.
 #define CALC_ROWS \
 	MOVQ  R10, R14 \
 	IMULQ CX, R14 \
 	SHLQ  $3, R14 \
-	ADDQ  walker3_flat(DI), R14 \
+	ADDQ  walker3_flatBase(DI), R14 \
 	MOVQ  R11, AX \
 	IMULQ CX, AX \
 	SHLQ  $3, AX \
@@ -71,24 +73,33 @@ pa_done:
 //   DI  w               SI  keys base        R9  vals base
 //   R8  x (next key)    CX  rank             R10/R11/R12  curT/curA/curB
 //   X1  pending value   Y0  pending value broadcast over a rank loop
-// The accumulator flag stays in w.accUsed: it is read once per run, and
-// Go reads it there when a run is handed back under locks.
+// The accumulator flag stays in w.accUsed: it is read once per run.
 // AX, BX, DX, R13, R14, R15 and Y1-Y3 are scratch. Each rank loop runs
 // four lanes per step and a scalar tail. Every lane rounds a·b before
 // scaling or FMA-accumulating it, with the operand order of
-// vecMulAxpyAVX2 and vecAddAVX2, so results match the Go flush under
-// locks and the byte-table walker bit for bit.
+// vecMulAxpyAVX2 and vecAddAVX2, so results match the byte-table walker
+// bit for bit. A target index is in bounds iff curT - base < rowsT as an
+// unsigned compare, which rejects indices below base and at or above
+// base + rowsT at once.
 TEXT ·walk3AVX2(SB), NOSPLIT, $0-16
 	MOVQ w+0(FP), DI
 	MOVQ walker3_keys(DI), SI
 	MOVQ walker3_vals(DI), R9
 	MOVQ walker3_rank(DI), CX
 	MOVQ walker3_x(DI), R8
+	MOVQ  walker3_base(DI), AX
+	IMULQ CX, AX
+	SHLQ  $3, AX
+	MOVQ  walker3_flat(DI), BX
+	SUBQ  AX, BX
+	MOVQ  BX, walker3_flatBase(DI)
 
 	// Key x (x < len(keys)) starts the first run.
 	MOVQ  (SI)(R8*8), R15
 	PEXTQ walker3_mT(DI), R15, R10
-	CMPQ  R10, walker3_rowsT(DI)
+	MOVQ  R10, AX
+	SUBQ  walker3_base(DI), AX
+	CMPQ  AX, walker3_rowsT(DI)
 	JAE   w3_oob
 	PEXTQ walker3_mA(DI), R15, R11
 	PEXTQ walker3_mB(DI), R15, R12
@@ -168,12 +179,11 @@ w3_set1:
 	JMP   w3_set1
 
 w3_row:
-	// Key x starts a new row, so the run ending at x-1 is complete. Under
-	// locks hand it back to Go; otherwise point AX/DX/R14 at its rows,
-	// adopt key x and flush the run into flat.
-	CMPQ  walker3_flat(DI), $0
-	JEQ   w3_run
-	CMPQ  R13, walker3_rowsT(DI)
+	// Key x starts a new row, so the run ending at x-1 is complete: point
+	// AX/DX/R14 at its rows, adopt key x and flush the run into flat.
+	MOVQ  R13, AX
+	SUBQ  walker3_base(DI), AX
+	CMPQ  AX, walker3_rowsT(DI)
 	JAE   w3_oob
 	CALC_ROWS
 	MOVQ  R13, R10
@@ -187,8 +197,6 @@ w3_row:
 
 w3_end:
 	// End of range: the last run is complete.
-	CMPQ  walker3_flat(DI), $0
-	JEQ   w3_run
 	CALC_ROWS
 
 w3_flush:
@@ -260,20 +268,10 @@ w3_flushed:
 	MOVQ  $0, ret+8(FP) // walkDone
 	RET
 
-w3_run:
-	MOVQ  R8, walker3_x(DI)
-	MOVQ  R10, walker3_curT(DI)
-	MOVQ  R11, walker3_curA(DI)
-	MOVQ  R12, walker3_curB(DI)
-	VMOVSD X1, walker3_vpend(DI)
-	VZEROUPPER
-	MOVQ  $1, ret+8(FP) // walkRun
-	RET
-
 w3_oob:
 	MOVQ  R8, walker3_x(DI)
 	VZEROUPPER
-	MOVQ  $2, ret+8(FP) // walkOutOfRange
+	MOVQ  $1, ret+8(FP) // walkOutOfRange
 	RET
 
 // func pdepKey(cur []uint64, masks []uint64) (lo, hi uint64)

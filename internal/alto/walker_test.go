@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dense"
 	"repro/internal/mttkrp"
@@ -57,57 +58,67 @@ func requireBitwise(t testing.TB, native, portable *Tensor, team *parallel.Team,
 	}
 }
 
-// TestWalker3MatchesExtract drives walk3AVX2 directly in its lock mode,
-// where it hands back every finished run: the run's coordinates must be
-// those of the key that ended it. The keys are unsorted, so nearly every
-// key ends a run.
-func TestWalker3MatchesExtract(t *testing.T) {
+// TestWalker3FlatTarget drives walk3AVX2 directly into a flat output over
+// unsorted keys, where nearly every key ends a run, on dims up to 2^20
+// wide. The result must match the byte-table walker bit for bit and the
+// naive MTTKRP to rounding.
+func TestWalker3FlatTarget(t *testing.T) {
 	if !nativeWalker() {
 		t.Skip("no fused walker on this build")
 	}
 	rng := rand.New(rand.NewSource(37))
 	for _, dims := range [][]int{{37, 19, 53}, {1 << 20, 1 << 10, 1 << 12}, {2, 3, 5}} {
+		rank := 5
+		if dims[0] > 1<<16 {
+			rank = 1 // keep the 2^20-row factor and outputs small
+		}
 		e, err := NewEncoding(dims)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const n = 649
-		keys := make([]uint64, n)
-		vals := make([]float64, n)
+		tt := sptensor.New(dims, n)
+		at := &Tensor{Enc: e, Lo: make([]uint64, n), Vals: tt.Vals}
 		coord := make([]sptensor.Index, 3)
-		for x := range keys {
+		for x := range at.Lo {
 			for m, d := range dims {
 				coord[m] = sptensor.Index(rng.Intn(d))
+				tt.Inds[m][x] = coord[m]
 			}
-			keys[x], _ = e.Linearize(coord)
-			vals[x] = rng.NormFloat64()
+			at.Lo[x], _ = e.Linearize(coord)
+			tt.Vals[x] = rng.NormFloat64()
 		}
-		for mode := 0; mode < 3; mode++ {
+		at.computeRuns(nil)
+		portable := &Tensor{}
+		*portable = *at
+		portable.Enc = forceTables(e)
+		factors := randomFactors(dims, rank, 41)
+		for mode, d := range dims {
 			ma, mb := otherModes3(mode)
+			got := dense.NewMatrix(d, rank)
 			w := &walker3{
-				keys: keys, vals: vals,
-				a: make([]float64, dims[ma]), b: make([]float64, dims[mb]),
-				acc: make([]float64, 1),
-				mT:  e.pextMasks[3*mode], mA: e.pextMasks[3*ma], mB: e.pextMasks[3*mb],
-				rowsT: uint64(dims[mode]), rowsA: uint64(dims[ma]), rowsB: uint64(dims[mb]),
-				rank: 1,
+				keys: at.Lo, vals: at.Vals,
+				a: factors[ma].Data, b: factors[mb].Data,
+				flat: got.Data, acc: make([]float64, rank),
+				mT: e.pextMasks[3*mode], mA: e.pextMasks[3*ma], mB: e.pextMasks[3*mb],
+				rowsT: uint64(d), rowsA: uint64(dims[ma]), rowsB: uint64(dims[mb]),
+				rank: rank,
 			}
-			for w.x < n {
-				before := w.x
-				if got := walk3AVX2(w); got != walkRun {
-					t.Fatalf("dims %v mode %d: walker returned %d, want a run", dims, mode, got)
+			if res := walk3AVX2(w); res != walkDone {
+				t.Fatalf("dims %v mode %d: walker returned %d at key %d", dims, mode, res, w.x)
+			}
+			tables := dense.NewMatrix(d, rank)
+			NewOperator(portable, nil, rank, mttkrp.Options{}).Apply(mode, factors, tables)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(tables.Data[i]) {
+					t.Fatalf("dims %v mode %d elem %d: walker %v != byte-table %v",
+						dims, mode, i, v, tables.Data[i])
 				}
-				if w.x <= before {
-					t.Fatalf("dims %v mode %d: no progress from key %d", dims, mode, before)
-				}
-				key := keys[w.x-1]
-				for m, got := range map[int]uint64{mode: w.curT, ma: w.curA, mb: w.curB} {
-					if want := e.Extract(key, 0, m); sptensor.Index(got) != want {
-						t.Fatalf("dims %v mode %d key %d: index of mode %d = %d, Extract %d",
-							dims, mode, w.x-1, m, got, want)
-					}
-				}
-				w.accUsed = false
+			}
+			want := dense.NewMatrix(d, rank)
+			naiveMTTKRP(tt, factors, mode, want)
+			if diff := got.MaxAbsDiff(want); diff > 1e-9 {
+				t.Errorf("dims %v mode %d: deviates from naive by %g", dims, mode, diff)
 			}
 		}
 	}
@@ -152,9 +163,10 @@ func TestWalker3MatchesPortable(t *testing.T) {
 	}
 }
 
-// TestWalker3LockMatchesReference runs both walkers under the lock
-// strategy, whose flush order depends on scheduling, against the naive
-// MTTKRP.
+// TestWalker3LockMatchesReference runs the lock strategy, whose flush
+// order depends on scheduling, against the naive MTTKRP. The fused walker
+// has no lock mode, so the "native" tensor runs the byte-table walker here
+// too, through the operator's dispatch.
 func TestWalker3LockMatchesReference(t *testing.T) {
 	teams := newTeams(t)[1:3]
 	for name, tt := range walkerTensors() {
@@ -181,7 +193,8 @@ func TestWalker3LockMatchesReference(t *testing.T) {
 }
 
 // FuzzWalker3 derives dims, rank and nonzeros from the fuzz input and
-// compares the two walkers bit for bit. Input layout: three dimension
+// compares the two walkers bit for bit, and each walker's interval
+// privatization with the full-buffer reference. Input layout: three dimension
 // bytes, a rank byte, then 6 bytes per nonzero (a 16-bit coordinate per
 // mode), replayed up to 512 nonzeros so short inputs repeat keys.
 func FuzzWalker3(f *testing.F) {
@@ -214,6 +227,8 @@ func FuzzWalker3(f *testing.F) {
 		requireBitwise(t, native, portable, teams[0], rank, mttkrp.StrategyNone, factors)
 		for _, team := range teams[1:] {
 			requireBitwise(t, native, portable, team, rank, mttkrp.StrategyPrivatize, factors)
+			requireIntervalBitwise(t, native, team, rank, factors)
+			requireIntervalBitwise(t, portable, team, rank, factors)
 		}
 	})
 }
@@ -266,8 +281,9 @@ func applyPanics(op *Operator, mode int, factors []*dense.Matrix, out *dense.Mat
 }
 
 // TestPrivScratchSizedByStrategy pins the privatization buffers to the
-// modes that privatize: none without a privatized mode, and the one
-// privatized mode's rows otherwise (not the longest mode's).
+// modes that privatize: none without a privatized mode, and otherwise the
+// widest of each task's own index intervals over those modes
+// (max_m |I_t(m)|·R), not the longest mode's length.
 func TestPrivScratchSizedByStrategy(t *testing.T) {
 	const rank = 4
 	dims := []int{4, 500, 600}
@@ -279,81 +295,130 @@ func TestPrivScratchSizedByStrategy(t *testing.T) {
 	defer team.Close()
 
 	lock := NewOperator(at, team, rank, mttkrp.Options{Strategy: mttkrp.StrategyLock})
-	if n := len(lock.priv.Buf(0)); n != 0 {
-		t.Errorf("lock-only operator holds a %d-element privatization buffer", n)
-	}
-
-	auto := NewOperator(at, team, rank, mttkrp.DefaultOptions())
-	for m, want := range []mttkrp.ConflictStrategy{
-		mttkrp.StrategyPrivatize, mttkrp.StrategyLock, mttkrp.StrategyLock,
-	} {
-		if got := auto.StrategyFor(m); got != want {
-			t.Fatalf("mode %d resolves to %v, want %v", m, got, want)
+	for tid, buf := range lock.priv {
+		if len(buf) != 0 {
+			t.Errorf("lock-only operator: task %d holds a %d-element privatization buffer", tid, len(buf))
 		}
 	}
-	for tid := 0; tid < team.N(); tid++ {
-		if n := len(auto.priv.Buf(tid)); n != dims[0]*rank {
-			t.Errorf("task %d privatization buffer %d, want %d", tid, n, dims[0]*rank)
+
+	yelp := twinALTO(t, "yelp", 1.0/64)
+	for _, c := range []struct {
+		at    *Tensor
+		strat mttkrp.ConflictStrategy
+	}{
+		{at, mttkrp.StrategyPrivatize},
+		{yelp, mttkrp.StrategyAuto},
+	} {
+		op := NewOperator(c.at, team, rank, mttkrp.Options{Strategy: c.strat})
+		spans := refSpans(c.at, team.N())
+		for tid, buf := range op.priv {
+			want := 0
+			for m := range c.at.Enc.Dims {
+				if op.StrategyFor(m) != mttkrp.StrategyPrivatize {
+					t.Fatalf("%v: mode %d resolves to %v, want privatize", c.strat, m, op.StrategyFor(m))
+				}
+				want = max(want, spans[tid][m].n*rank)
+			}
+			if len(buf) != want {
+				t.Errorf("%v: task %d privatization buffer %d, want %d", c.strat, tid, len(buf), want)
+			}
 		}
 	}
 }
 
-// BenchmarkALTOMTTKRP times one MTTKRP per mode on the NELL-2 twin (1/32,
-// R=16) and the YELP twin (1/8, R=35) with the native and the byte-table
-// walker, at 1 task and at GOMAXPROCS tasks, reporting ns per nonzero per
-// mode.
+// BenchmarkALTOMTTKRP times one MTTKRP per mode on the NELL-2 twin (1/32)
+// and the YELP twin (1/8) at R = 16 and 35, and on a hypersparse tensor
+// (4096 nonzeros, one 2^18-row mode), with the native and the byte-table
+// walker. At 1 task every mode runs without conflict resolution; at
+// GOMAXPROCS tasks the automatic rule runs next to forced lock and
+// privatize, which the conflict-rule costs are fitted from. Forced lock
+// runs the byte-table walker under either tensor, so it is reported once.
+// Metrics: ns per nonzero per mode, and ns per Apply of each mode.
 func BenchmarkALTOMTTKRP(b *testing.B) {
-	inputs := []struct {
+	type input struct {
+		name string
+		tt   *sptensor.Tensor
+		rank int
+	}
+	var inputs []input
+	for _, tw := range []struct {
 		name  string
 		scale float64
-		rank  int
-	}{
-		{"nell-2", 1.0 / 32, 16},
-		{"yelp", 1.0 / 8, 35},
-	}
-	for _, in := range inputs {
-		spec, err := sptensor.LookupDataset(in.name)
+	}{{"nell-2", 1.0 / 32}, {"yelp", 1.0 / 8}} {
+		spec, err := sptensor.LookupDataset(tw.name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tt := spec.Generate(in.scale)
+		tt := spec.Generate(tw.scale)
+		inputs = append(inputs, input{tw.name, tt, 16}, input{tw.name, tt, 35})
+	}
+	inputs = append(inputs, input{"hypersparse", sptensor.Random([]int{1 << 18, 64, 64}, 4096, 5), 16})
+
+	type config struct {
+		tasks  int
+		strat  mttkrp.ConflictStrategy
+		walker string
+	}
+	configs := []config{{1, mttkrp.StrategyAuto, "native"}, {1, mttkrp.StrategyAuto, "portable"}}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		for _, s := range []mttkrp.ConflictStrategy{mttkrp.StrategyAuto, mttkrp.StrategyLock, mttkrp.StrategyPrivatize} {
+			for _, w := range []string{"native", "portable"} {
+				if s != mttkrp.StrategyLock || w == "portable" {
+					configs = append(configs, config{p, s, w})
+				}
+			}
+		}
+	}
+	teams := map[int]*parallel.Team{}
+	defer func() {
+		for _, team := range teams {
+			team.Close()
+		}
+	}()
+	for _, in := range inputs {
+		tt := in.tt
 		native, portable := walkerPair(b, tt)
 		factors := randomFactors(tt.Dims, in.rank, 1)
 		outs := make([]*dense.Matrix, len(tt.Dims))
 		for m, d := range tt.Dims {
 			outs[m] = dense.NewMatrix(d, in.rank)
 		}
-		taskCounts := []int{1}
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			taskCounts = append(taskCounts, p)
-		}
-		walkers := []struct {
-			name string
-			at   *Tensor
-		}{{"native", native}, {"portable", portable}}
-		if !nativeWalker() {
-			walkers = walkers[1:]
-		}
-		for _, tasks := range taskCounts {
-			team := parallel.NewTeam(tasks)
-			for _, w := range walkers {
-				op := NewOperator(w.at, team, in.rank, mttkrp.DefaultOptions())
-				for m, out := range outs { // warm up: first-use set-up is not steady state
-					op.Apply(m, factors, out)
+		for _, c := range configs {
+			at := portable
+			if c.walker == "native" {
+				if !nativeWalker() {
+					continue
 				}
-				name := fmt.Sprintf("%s/R=%d/tasks=%d/walker=%s", in.name, in.rank, tasks, w.name)
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						for m, out := range outs {
-							op.Apply(m, factors, out)
-						}
-					}
-					perNNZ := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(outs)*tt.NNZ())
-					b.ReportMetric(perNNZ, "ns/nnz")
-				})
+				at = native
 			}
-			team.Close()
+			team := teams[c.tasks]
+			if team == nil {
+				team = parallel.NewTeam(c.tasks)
+				teams[c.tasks] = team
+			}
+			op := NewOperator(at, team, in.rank, mttkrp.Options{Strategy: c.strat})
+			for m, out := range outs { // warm up: first-use set-up is not steady state
+				op.Apply(m, factors, out)
+			}
+			name := fmt.Sprintf("%s/R=%d/tasks=%d/strategy=%v/walker=%s", in.name, in.rank, c.tasks, c.strat, c.walker)
+			b.Run(name, func(b *testing.B) {
+				perMode := make([]time.Duration, len(outs))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for m, out := range outs {
+						start := time.Now()
+						op.Apply(m, factors, out)
+						perMode[m] += time.Since(start)
+					}
+				}
+				b.StopTimer()
+				perNNZ := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(outs)*tt.NNZ())
+				b.ReportMetric(perNNZ, "ns/nnz")
+				for m, d := range perMode {
+					b.ReportMetric(float64(d.Nanoseconds())/float64(b.N), fmt.Sprintf("ns/mode%d", m))
+				}
+			})
 		}
 	}
 }

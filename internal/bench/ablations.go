@@ -48,9 +48,9 @@ func (r *Runner) AblationBLAS() {
 	tbl.render(r.out)
 }
 
-// AblationLockDecision ablates the lock-vs-privatize rule (DESIGN.md §6.1):
-// force both strategies on both twins and compare with the automatic
-// decision.
+// AblationLockDecision ablates the lock-vs-privatize rule (experiment
+// abllock in EXPERIMENTS.md): force both strategies on both twins and
+// compare with the automatic decision.
 func (r *Runner) AblationLockDecision() {
 	r.header("Ablation lock-vs-privatize", "forced conflict strategies vs. the automatic rule")
 	tasks := r.maxTasks()
@@ -84,8 +84,9 @@ func (r *Runner) AblationLockDecision() {
 	tbl.render(r.out)
 }
 
-// AblationCSFAlloc ablates the CSF allocation policy (DESIGN.md §6.2):
-// one/two/all-mode representations trade memory for conflict-free kernels.
+// AblationCSFAlloc ablates the CSF allocation policy (experiment ablcsf
+// in EXPERIMENTS.md): one/two/all-mode representations trade memory for
+// conflict-free kernels.
 func (r *Runner) AblationCSFAlloc() {
 	r.header("Ablation CSF allocation", "one vs two vs all-mode CSF representations")
 	tasks := r.maxTasks()

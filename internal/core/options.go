@@ -81,7 +81,8 @@ type Options struct {
 	LockKind locks.Kind
 	// Strategy forces the conflict strategy (StrategyAuto = decide).
 	Strategy mttkrp.ConflictStrategy
-	// PrivRatio overrides the lock-vs-privatize ratio (0 = default).
+	// PrivRatio overrides the CSF lock-vs-privatize ratio (0 = default);
+	// ALTO ignores it.
 	PrivRatio int
 	// SortVariant selects the §V-C sorting implementation.
 	SortVariant tsort.Variant

@@ -134,7 +134,8 @@ func ParseStrategy(s string) (ConflictStrategy, error) {
 // the paper's observed split (§V-D): the YELP twin needs locks for its
 // 41k-mode beyond ~3 tasks, while every NELL-2 mode privatizes at any task
 // count we can run, because the rule depends only on the scale-invariant
-// nnz/I_n ratio. See DESIGN.md §6 and the abl2 ablation.
+// nnz/I_n ratio. The abllock ablation (EXPERIMENTS.md, "Experiment ids")
+// measures it.
 const DefaultPrivRatio = 50
 
 // Decide picks the conflict strategy for a non-root mode of length modeLen
@@ -156,13 +157,15 @@ func Decide(modeLen, nnz, tasks, privRatio int) ConflictStrategy {
 type Options struct {
 	// Access selects the kernel family / row access mode.
 	Access AccessMode
-	// Strategy forces a conflict strategy; StrategyAuto uses Decide.
+	// Strategy forces a conflict strategy; StrategyAuto uses Decide on
+	// CSF and the ALTO operator's cost rule on ALTO.
 	Strategy ConflictStrategy
 	// LockKind selects the mutex-pool implementation when locking.
 	LockKind locks.Kind
 	// PoolSize is the mutex-pool stripe count (0 = locks.DefaultPoolSize).
 	PoolSize int
-	// PrivRatio overrides DefaultPrivRatio (0 = default).
+	// PrivRatio overrides DefaultPrivRatio (0 = default). CSF only: the
+	// ALTO operator decides from its measured lock and reduction costs.
 	PrivRatio int
 	// Arena, when non-nil, supplies the operators' per-task kernel
 	// workspaces (tile index columns, accumulators, walker scratch) from

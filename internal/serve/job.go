@@ -281,7 +281,8 @@ type Job struct {
 
 	// tensor is pinned in the registry at submission and unpinned by the
 	// worker that retires the job, so an accepted job can never lose its
-	// tensor to LRU eviction while waiting in the queue.
+	// tensor to LRU eviction while waiting in the queue. Read only by that
+	// worker; retire clears it under the server's jobsMu.
 	tensor *sptensor.Tensor
 	// retired marks the job as counted into the server's bounded terminal
 	// history; guarded by the server's jobsMu.

@@ -499,6 +499,10 @@ func (s *Server) retire(j *Job) {
 		return
 	}
 	j.retired = true
+	// The worker is done with the tensor; a finished job must not keep a
+	// revision alive after the registry evicts it. Status and result
+	// handlers read only the spec and the result.
+	j.tensor = nil
 	s.history = append(s.history, j.ID)
 	for len(s.history) > s.cfg.MaxJobHistory {
 		delete(s.jobs, s.history[0])

@@ -340,3 +340,67 @@ func TestStreamingAppendRacesRunningJob(t *testing.T) {
 		t.Errorf("base revision nnz %d after racing appends, want %d", info.NNZ, base.NNZ())
 	}
 }
+
+// TestRetiredJobsDropTensor runs append+job cycles and one job cancelled
+// while queued: once retired, no job may still hold its tensor revision,
+// or finished jobs would keep evicted revisions alive.
+func TestRetiredJobsDropTensor(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	full := sptensor.Datasets["yelp"].Generate(1.0 / 1024)
+	id := uploadTensor(t, ts.URL, tnsBytes(t, filterTensor(full, func(x int) bool { return x%10 < 6 }))).ID
+
+	var jobs []string
+	for k := 0; k < 4; k++ {
+		batch := filterTensor(full, func(x int) bool { return x%10 == 6+k })
+		res, status := patchTensor(t, ts.URL, id, tnsBytes(t, batch))
+		if status != http.StatusCreated {
+			t.Fatalf("append %d: status %d", k, status)
+		}
+		id = res.ID
+		st, code := submitJob(t, ts.URL, JobSpec{TensorID: id, Rank: 4, MaxIters: 5, Seed: 1})
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: status %d", k, code)
+		}
+		waitState(t, ts.URL, st.ID, 30*time.Second, terminal)
+		jobs = append(jobs, st.ID)
+	}
+
+	// One worker: the second job waits behind the first and is cancelled
+	// while still queued.
+	blocker := uploadTensor(t, ts.URL, tnsBytes(t, sptensor.Random([]int{60, 50, 40}, 20000, 9))).ID
+	long, _ := submitJob(t, ts.URL, JobSpec{TensorID: blocker, Rank: 12, MaxIters: 1000000, Seed: 1})
+	waitState(t, ts.URL, long.ID, 30*time.Second, func(s JobStatus) bool { return s.State == StateRunning })
+	queued, _ := submitJob(t, ts.URL, JobSpec{TensorID: id, Rank: 4, MaxIters: 5})
+	for _, jid := range []string{queued.ID, long.ID} {
+		if resp, _ := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+jid, nil); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cancel %s: status %d", jid, resp.StatusCode)
+		}
+	}
+	jobs = append(jobs, queued.ID, long.ID)
+
+	for _, jid := range jobs {
+		j, ok := s.lookupJob(jid)
+		if !ok {
+			t.Fatalf("job %s missing from history", jid)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			s.jobsMu.Lock()
+			retired, held := j.retired, j.tensor != nil
+			s.jobsMu.Unlock()
+			if retired {
+				if held {
+					t.Errorf("retired job %s (%s) still holds its tensor", jid, j.State())
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never retired (state %s)", jid, j.State())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if j, _ := s.lookupJob(queued.ID); j.State() != StateCancelled {
+		t.Errorf("queued job ended %s, want cancelled", j.State())
+	}
+}

@@ -42,7 +42,10 @@ echo "running benchmarks (pattern=$PATTERN benchtime=$BENCHTIME count=$COUNT) ..
 echo "kernels: $FEATURES"
 {
     echo "# cpu-features: $FEATURES"
-    go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem ./...
+    # benchmarks/baseline.txt was pinned at GOMAXPROCS=1; -cpu 1 keeps the
+    # fresh run in that cohort on any host (bench_compare.sh refuses to
+    # compare records made at different GOMAXPROCS).
+    go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -cpu 1 -benchmem ./...
 } | tee benchmarks/latest.txt
 
 if [ ! -f benchmarks/baseline.txt ]; then

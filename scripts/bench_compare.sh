@@ -20,6 +20,14 @@
 # Benchmarks whose baseline rows carry no allocs/op column (pre-benchmem
 # baselines) skip the allocation check.
 #
+# Names are matched without the "-N" suffix go test appends when
+# GOMAXPROCS is N > 1. A record is taken to run at GOMAXPROCS N when every
+# one of its benchmark names ends in the same "-N", and at GOMAXPROCS 1
+# otherwise (go test adds no suffix at 1, so names like ".../NELL-2" keep
+# theirs). Records at different GOMAXPROCS are different experiments: the
+# comparison fails with one CROSS-COHORT error instead of a MISSING row
+# per benchmark.
+#
 # Environment knobs:
 #   BENCH_MAX_REGRESSION_PCT  allowed ns/op (and relative allocs/op)
 #                             regression percent                 (default 5)
@@ -68,54 +76,79 @@ awk -v maxpct="$MAXPCT" -v allocgrowth="$ALLOCGROWTH" -v minns="$MINNSOP" \
     # Collect benchmark rows, locating the ns/op and allocs/op columns by
     # their unit labels (a MB/s column from b.SetBytes shifts positions).
     $1 ~ /^Benchmark/ {
-        ns = ""; allocs = ""
+        f = (FNR == NR) ? 1 : 2
+        n = ++rows[f]
+        name[f, n] = $1
+        ns[f, n] = ""; allocs[f, n] = ""
         for (i = 3; i <= NF; i++) {
-            if ($(i) == "ns/op") ns = $(i-1)
-            else if ($(i) == "allocs/op") allocs = $(i-1)
-        }
-        if (FNR == NR) {
-            if (ns != "")     { base[$1] += ns; basen[$1]++ }
-            if (allocs != "") { basea[$1] += allocs; basean[$1]++ }
-        } else {
-            if (ns != "")     { cur[$1] += ns; curn[$1]++ }
-            if (allocs != "") { cura[$1] += allocs; curan[$1]++ }
+            if ($(i) == "ns/op") ns[f, n] = $(i-1)
+            else if ($(i) == "allocs/op") allocs[f, n] = $(i-1)
         }
         next
     }
+    # procsOf reports the GOMAXPROCS record f ran at, from its name suffixes.
+    function procsOf(f,    i, p, s) {
+        p = ""
+        for (i = 1; i <= rows[f]; i++) {
+            if (!match(name[f, i], /-[0-9]+$/)) return 1
+            s = substr(name[f, i], RSTART + 1)
+            if (p == "") p = s
+            else if (p != s) return 1
+        }
+        return (p == "") ? 1 : p
+    }
     END {
+        for (f = 1; f <= 2; f++) {
+            procs[f] = procsOf(f)
+            for (i = 1; i <= rows[f]; i++) {
+                key = name[f, i]
+                if (procs[f] != 1) sub(/-[0-9]+$/, "", key)
+                if (f == 1) {
+                    if (ns[f, i] != "")     { base[key] += ns[f, i]; basen[key]++ }
+                    if (allocs[f, i] != "") { basea[key] += allocs[f, i]; basean[key]++ }
+                } else {
+                    if (ns[f, i] != "")     { cur[key] += ns[f, i]; curn[key]++ }
+                    if (allocs[f, i] != "") { cura[key] += allocs[f, i]; curan[key]++ }
+                }
+            }
+        }
+        if (rows[1] && rows[2] && procs[1] != procs[2]) {
+            printf "CROSS-COHORT baseline ran at GOMAXPROCS=%s, fresh run at GOMAXPROCS=%s (benchmark name suffixes); rerun with -cpu %s or re-pin the baseline\n", procs[1], procs[2], procs[1]
+            exit 1
+        }
         n = 0
-        for (name in cur) n++
+        for (key in cur) n++
         if (n == 0) {
             print "WARNING: no benchmark rows in the fresh run (bad BENCH_PATTERN?)."
         }
         missing = 0
-        for (name in base) {
-            if (!(name in cur)) {
-                printf "MISSING    %-60s in baseline but absent from fresh run\n", name
+        for (key in base) {
+            if (!(key in cur)) {
+                printf "MISSING    %-60s in baseline but absent from fresh run\n", key
                 missing++
             }
         }
         bad = 0
-        for (name in cur) {
-            if (!(name in base)) continue
-            b = base[name] / basen[name]
-            c = cur[name] / curn[name]
+        for (key in cur) {
+            if (!(key in base)) continue
+            b = base[key] / basen[key]
+            c = cur[key] / curn[key]
             if (b <= 0) continue
             if (b < minns) continue # sub-floor benchmarks: pure jitter at 1x
             pct = (c - b) / b * 100
             if (pct > maxpct) {
-                printf "REGRESSION %-60s %12.0f -> %12.0f ns/op (%+.1f%%)\n", name, b, c, pct
+                printf "REGRESSION %-60s %12.0f -> %12.0f ns/op (%+.1f%%)\n", key, b, c, pct
                 bad++
             }
         }
         abad = 0
-        for (name in cura) {
-            if (!(name in basea)) continue # no alloc data pinned for it
-            ba = basea[name] / basean[name]
-            ca = cura[name] / curan[name]
+        for (key in cura) {
+            if (!(key in basea)) continue # no alloc data pinned for it
+            ba = basea[key] / basean[key]
+            ca = cura[key] / curan[key]
             limit = ba * (1 + maxpct / 100) + allocgrowth
             if (ca > limit) {
-                printf "ALLOC-REGRESSION %-54s %10.1f -> %10.1f allocs/op (limit %.1f)\n", name, ba, ca, limit
+                printf "ALLOC-REGRESSION %-54s %10.1f -> %10.1f allocs/op (limit %.1f)\n", key, ba, ca, limit
                 abad++
             }
         }
